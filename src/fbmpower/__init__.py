@@ -2,15 +2,6 @@
 increment modeling: Gaussianizing power transform, Hurst exponent
 estimation, limit-theorem hypothesis tests, and report generation."""
 
-from .correlation import (
-    IncrementCorrelation,
-    asymptotic_correlation,
-    build_correlation,
-    dense_quadratic_form,
-    increment_correlation,
-    levinson_solve,
-    toeplitz_quadratic_form,
-)
 from .errors import (
     AnalysisError,
     CirculantEmbeddingError,
@@ -21,42 +12,11 @@ from .errors import (
     InvalidSizeError,
     UnfittableSeriesError,
 )
-from .gaussianize import (
-    GAUSSIAN_RATIO,
-    GaussianizedSeries,
-    IncrementSeries,
-    fit_lambda,
-    gaussian_ratio_theoretical,
-    increments,
-    inverse_transform,
-    kurtosis_ratio,
-    transform,
-)
-from .hurst import DEFAULT_Q_CONSTANT, HurstEstimate, estimate_hurst, q_statistic
-from .hypothesis import (
-    Classification,
-    HypothesisStats,
-    classify,
-    partial_sums,
-    stat_A,
-    stat_B,
-    stat_D,
-    test_hypothesis,
-    thresholds,
-)
-from .pipeline import (
-    AnalysisConfig,
-    BuildingReport,
-    PreparedSeries,
-    RawSeries,
-    analyze,
-    detrend,
-    load_csv,
-    normalize,
-    render_report,
-    restore,
-)
-from .simulate import FbmPath, fbm_covariance, simulate_fbm
+from .gaussianize import GaussianizedSeries, IncrementSeries, fit_lambda, increments, transform
+from .hurst import HurstEstimate, estimate_hurst
+from .hypothesis import Classification, HypothesisStats, classify, test_hypothesis
+from .pipeline import AnalysisConfig, BuildingReport, RawSeries, analyze, load_csv, render_report
+from .simulate import FbmPath, simulate_fbm
 
 __version__ = "0.1.0"
 
@@ -67,48 +27,25 @@ __all__ = [
     "CirculantEmbeddingError",
     "Classification",
     "ConfigurationError",
-    "DEFAULT_Q_CONSTANT",
     "DegenerateSeriesError",
     "FbmPath",
-    "GAUSSIAN_RATIO",
     "GaussianizedSeries",
     "HurstEstimate",
     "HypothesisStats",
     "IllConditionedError",
-    "IncrementCorrelation",
     "IncrementSeries",
     "InputFormatError",
     "InvalidSizeError",
-    "PreparedSeries",
     "RawSeries",
     "UnfittableSeriesError",
     "analyze",
-    "asymptotic_correlation",
-    "build_correlation",
     "classify",
-    "dense_quadratic_form",
-    "detrend",
     "estimate_hurst",
-    "fbm_covariance",
     "fit_lambda",
-    "gaussian_ratio_theoretical",
-    "increment_correlation",
     "increments",
-    "inverse_transform",
-    "kurtosis_ratio",
-    "levinson_solve",
     "load_csv",
-    "normalize",
-    "partial_sums",
-    "q_statistic",
     "render_report",
-    "restore",
     "simulate_fbm",
-    "stat_A",
-    "stat_B",
-    "stat_D",
     "test_hypothesis",
-    "thresholds",
-    "toeplitz_quadratic_form",
     "transform",
 ]

@@ -26,9 +26,7 @@ __all__ = [
     "increment_correlation",
     "asymptotic_correlation",
     "build_correlation",
-    "levinson_solve",
     "quadratic_form_logdet",
-    "toeplitz_quadratic_form",
     "dense_quadratic_form",
 ]
 
@@ -142,15 +140,6 @@ def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x / diag, float(logdet + n * np.log(diag))
 
 
-def levinson_solve(first_row: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve T x = b for a symmetric positive definite Toeplitz matrix."""
-    row = np.asarray(first_row, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.size != row.size:
-        raise ValueError(f"rhs length {b.size} does not match matrix order {row.size}")
-    return _levinson(row, b)[0]
-
-
 def quadratic_form_logdet(
     corr: IncrementCorrelation | np.ndarray, z: np.ndarray
 ) -> tuple[float, float]:
@@ -172,18 +161,18 @@ def quadratic_form_logdet(
     return max(float(np.dot(z, x)), 0.0), logdet
 
 
-def toeplitz_quadratic_form(corr: IncrementCorrelation | np.ndarray, z: np.ndarray) -> float:
-    """Evaluate z' S^-1 z for the Toeplitz correlation matrix S."""
-    return quadratic_form_logdet(corr, z)[0]
+def _dense_toeplitz(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix whose first row is `row`."""
+    idx = np.abs(np.arange(row.size)[:, None] - np.arange(row.size)[None, :])
+    return row[idx]
 
 
 def dense_quadratic_form(corr: IncrementCorrelation | np.ndarray, z: np.ndarray) -> float:
     """Same quadratic form via dense Cholesky, O(m^3); cross-check path only."""
     row = corr.first_row if isinstance(corr, IncrementCorrelation) else np.asarray(corr, float)
     z = np.asarray(z, dtype=float)
-    idx = np.abs(np.arange(row.size)[:, None] - np.arange(row.size)[None, :])
     try:
-        chol = np.linalg.cholesky(row[idx])
+        chol = np.linalg.cholesky(_dense_toeplitz(row))
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(str(exc)) from exc
     w = np.linalg.solve(chol, z)

@@ -31,7 +31,8 @@ class CirculantEmbeddingError(AnalysisError):
 
 
 class InputFormatError(AnalysisError, ValueError):
-    """An input file cannot be parsed; message carries the line number."""
+    """Input cannot be parsed or holds a non-finite value; the message names
+    the line of a file or the index of an array."""
 
 
 class ConfigurationError(AnalysisError, ValueError):

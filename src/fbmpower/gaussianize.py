@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidSizeError, UnfittableSeriesError
+from .errors import (
+    DegenerateSeriesError,
+    InputFormatError,
+    InvalidSizeError,
+    UnfittableSeriesError,
+)
 
 __all__ = [
     "GAUSSIAN_RATIO",
@@ -92,6 +97,27 @@ def _values(series) -> np.ndarray:
     return np.asarray(getattr(series, "values", series), dtype=float)
 
 
+def _checked_values(series) -> np.ndarray:
+    """The series as a 1-D float array that every statistic can use.
+
+    Raises InvalidSizeError unless it is 1-D with at least MIN_INCREMENTS
+    values, InputFormatError on a non-finite value, naming its index, and
+    DegenerateSeriesError when mean(v*v) is 0: all zeros, or values so
+    small that their squares underflow.
+    """
+    vals = _values(series)
+    if vals.ndim != 1 or vals.size < MIN_INCREMENTS:
+        raise InvalidSizeError(
+            f"need a 1-D series of at least {MIN_INCREMENTS} values, got shape {vals.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise InputFormatError(f"index {bad[0]}: non-finite value {float(vals[bad[0]])}")
+    if float(np.mean(vals * vals)) == 0.0:
+        raise DegenerateSeriesError("mean square is zero: all values are zero or underflow")
+    return vals
+
+
 def increments(x) -> IncrementSeries:
     """First differences of a series of at least 9 points."""
     x = np.asarray(x, dtype=float)
@@ -105,12 +131,8 @@ def increments(x) -> IncrementSeries:
 
 def kurtosis_ratio(v) -> float:
     """(mean |v|)^2 / mean v^2; equals 2/pi for Gaussian samples."""
-    vals = _values(v)
-    if vals.size < MIN_INCREMENTS:
-        raise InvalidSizeError(f"need at least {MIN_INCREMENTS} values, got {vals.size}")
+    vals = _checked_values(v)
     mean_sq = float(np.mean(vals * vals))
-    if mean_sq == 0.0:
-        raise DegenerateSeriesError("all values are zero")
     mean_abs = float(np.mean(np.abs(vals)))
     return mean_abs * mean_abs / mean_sq
 
@@ -177,10 +199,8 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
     [0.05, 20] brackets the target the series cannot be Gaussianized by a
     power transform and UnfittableSeriesError is raised.
     """
-    vals = _values(y)
-    if vals.size < MIN_INCREMENTS:
-        raise InvalidSizeError(f"need at least {MIN_INCREMENTS} increments, got {vals.size}")
-    raw_ratio = kurtosis_ratio(vals)  # raises DegenerateSeriesError on all zeros
+    vals = _checked_values(y)
+    raw_ratio = kurtosis_ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
         return 1.0
 

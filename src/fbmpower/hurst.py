@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import build_correlation, quadratic_form_logdet
-from .errors import ConfigurationError, DegenerateSeriesError, InvalidSizeError
-from .gaussianize import MIN_INCREMENTS, _values
+from .errors import ConfigurationError
+from .gaussianize import _checked_values
 
 __all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "q_statistic", "estimate_hurst"]
 
@@ -50,25 +50,27 @@ class HurstEstimate:
     m: int
 
 
+def _score(vals: np.ndarray, r1: float, h: float, q_constant: float) -> tuple[float, float]:
+    """(q score, profile objective) of one candidate exponent, one Levinson pass."""
+    m = vals.size
+    quad, logdet = quadratic_form_logdet(build_correlation(h, m), vals)
+    return (q_constant / r1) * math.sqrt(quad / (m - 1)), math.log(quad / m) + logdet / m
+
+
 def q_statistic(z, h: float, q_constant: float = DEFAULT_Q_CONSTANT) -> float:
     """Goodness-of-fit score for one candidate Hurst exponent.
 
     Scale free: multiplying z by any positive constant leaves the value
-    unchanged.  Raises DegenerateSeriesError on an all-zero series and
-    propagates IllConditionedError from the Toeplitz solve.
+    unchanged.  Raises the input errors of the checked series (non-finite,
+    too short, zero mean square) and propagates IllConditionedError from
+    the Toeplitz solve.
     """
-    vals = _values(z)
-    m = vals.size
-    if m < MIN_INCREMENTS:
-        raise InvalidSizeError(f"need at least {MIN_INCREMENTS} increments, got {m}")
-    r1 = float(np.mean(np.abs(vals)))
-    if r1 == 0.0:
-        raise DegenerateSeriesError("all increments are zero")
-    quad, _ = quadratic_form_logdet(build_correlation(h, m), vals)
-    return (q_constant / r1) * math.sqrt(quad / (m - 1))
+    vals = _checked_values(z)
+    return _score(vals, float(np.mean(np.abs(vals))), h, q_constant)[0]
 
 
 def _make_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """The Hurst search grid; the one home of the grid-bound rule."""
     if not (0.0 < start < stop < 1.0):
         raise ConfigurationError(
             f"grid bounds must satisfy 0 < start < stop < 1, got [{start}, {stop}]"
@@ -95,21 +97,13 @@ def estimate_hurst(
     shifts the objective uniformly, so the estimate is exactly scale
     invariant, and identical inputs give identical estimates.
     """
-    vals = _values(z)
-    m = vals.size
-    if m < MIN_INCREMENTS:
-        raise InvalidSizeError(f"need at least {MIN_INCREMENTS} increments, got {m}")
+    vals = _checked_values(z)
     r1 = float(np.mean(np.abs(vals)))
-    if r1 == 0.0:
-        raise DegenerateSeriesError("all increments are zero")
-
     grid_h = _make_grid(grid_start, grid_stop, grid_step)
     scores = np.empty(grid_h.size)
     objectives = np.empty(grid_h.size)
     for i, h in enumerate(grid_h):
-        quad, logdet = quadratic_form_logdet(build_correlation(float(h), m), vals)
-        scores[i] = (q_constant / r1) * math.sqrt(quad / (m - 1))
-        objectives[i] = math.log(quad / m) + logdet / m
+        scores[i], objectives[i] = _score(vals, r1, float(h), q_constant)
     # argmin returns the first (smallest-H) index on exact ties.
     best = int(np.argmin(objectives))
     return HurstEstimate(
@@ -117,5 +111,5 @@ def estimate_hurst(
         h_hat=float(grid_h[best]),
         q_at_hat=float(scores[best]),
         r1=r1,
-        m=m,
+        m=vals.size,
     )

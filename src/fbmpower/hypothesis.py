@@ -39,8 +39,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidSizeError
-from .gaussianize import MIN_INCREMENTS, _values
+from .correlation import check_hurst
+from .errors import InvalidSizeError
+from .gaussianize import _checked_values, _values
 
 __all__ = [
     "HypothesisStats",
@@ -217,16 +218,12 @@ def test_hypothesis(
     """Run the full fBm-increment hypothesis test at the estimated exponent.
 
     Computes c, the partial sums, the branch statistics and thresholds, and
-    the verdict.  Raises DegenerateSeriesError on an all-zero series.
+    the verdict.  Raises the input errors of the checked series (non-finite,
+    too short, zero mean square) and ValueError for h_hat outside (0, 1).
     """
-    vals = _values(z)
-    if vals.size < MIN_INCREMENTS:
-        raise InvalidSizeError(f"need at least {MIN_INCREMENTS} increments, got {vals.size}")
-    if not 0.0 < h_hat < 1.0:
-        raise ValueError(f"h_hat must lie in (0, 1), got {h_hat!r}")
+    vals = _checked_values(z)
+    check_hurst(h_hat)
     c = float(np.mean(vals * vals))
-    if c == 0.0:
-        raise DegenerateSeriesError("all increments are zero")
 
     v = partial_sums(vals)
     a_n = stat_A(vals, v)
@@ -282,8 +279,7 @@ def classify(h_hat: float, verdict: str) -> Classification:
     A forecast is supported only by an accepted persistent model; a rejected
     model never is, whatever its exponent.
     """
-    if not 0.0 < h_hat < 1.0:
-        raise ValueError(f"h_hat must lie in (0, 1), got {h_hat!r}")
+    check_hurst(h_hat)
     if verdict not in ("accepted", "rejected"):
         raise ValueError(f"unknown verdict {verdict!r}")
     if h_hat < 0.5:

@@ -101,7 +101,11 @@ class PreparedSeries:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Tunable parameters of the analysis; every field maps to a CLI flag."""
+    """Tunable parameters of the analysis.
+
+    Every field but `max_iter` maps to the `analyze` flag of the same
+    name; `max_iter` can be set only from Python.
+    """
 
     grid_start: float = hu.GRID_START
     grid_stop: float = hu.GRID_STOP
@@ -116,13 +120,7 @@ class AnalysisConfig:
     require_delta_on_persistent: bool = False
 
     def validate(self) -> "AnalysisConfig":
-        if not (0.0 < self.grid_start < self.grid_stop < 1.0):
-            raise ConfigurationError(
-                f"grid bounds must satisfy 0 < start < stop < 1, "
-                f"got [{self.grid_start}, {self.grid_stop}]"
-            )
-        if not 0.01 <= self.grid_step <= 0.1:
-            raise ConfigurationError(f"grid step must lie in [0.01, 0.1], got {self.grid_step}")
+        hu._make_grid(self.grid_start, self.grid_stop, self.grid_step)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.beta0 > 0.0:

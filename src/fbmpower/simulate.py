@@ -3,10 +3,10 @@
 Paths live on the uniform grid k/n, k = 0..n, start at 0, and have the
 covariance 0.5 (t^2H + s^2H - |t-s|^2H).  Two exact generators are provided:
 
-* ``cholesky`` - dense factorization of the increment correlation matrix,
-  O(n^2) memory, default for n <= 4096;
 * ``circulant`` - circulant embedding of the correlation row with FFT
-  synthesis, O(n log n) (Davies & Harte 1987; Dieker 2004), default above.
+  synthesis, O(n log n) (Davies & Harte 1987; Dieker 2004); the default;
+* ``cholesky`` - dense factorization of the increment correlation matrix,
+  O(n^2) memory and O(n^3) time, kept as an independent cross-check.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64), so a given
 (seed, method, n, H) quadruple always reproduces the same path bit for bit.
@@ -18,16 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _correlation_row, check_hurst, increment_correlation
+from .correlation import _correlation_row, _dense_toeplitz, check_hurst, increment_correlation
 from .errors import CirculantEmbeddingError, IllConditionedError
 
 __all__ = ["FbmPath", "fbm_covariance", "simulate_fbm"]
 
 # Largest circulant-embedding eigenvalue deficit tolerated before failing.
 EIGENVALUE_TOLERANCE = -1e-9
-
-# Size at which method="auto" switches from dense Cholesky to the FFT path.
-AUTO_CHOLESKY_LIMIT = 4096
 
 
 def fbm_covariance(t: float, s: float, h: float) -> float:
@@ -71,10 +68,8 @@ class FbmPath:
 
 def _fgn_cholesky(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance correlated Gaussian increments via dense Cholesky."""
-    row = _correlation_row(h, n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     try:
-        chol = np.linalg.cholesky(row[idx])
+        chol = np.linalg.cholesky(_dense_toeplitz(_correlation_row(h, n)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - PD for all H
         raise IllConditionedError(f"correlation matrix factorization failed: {exc}") from exc
     return chol @ rng.standard_normal(n)
@@ -111,7 +106,7 @@ def _fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return sample.real[:n]
 
 
-def simulate_fbm(h: float, n: int, seed: int, method: str = "auto") -> FbmPath:
+def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmPath:
     """Generate one fBm path on the grid k/n.
 
     Parameters
@@ -122,8 +117,9 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "auto") -> FbmPath:
         Number of grid steps; the path has n + 1 points and starts at 0.
     seed : int
         Seed for the PCG64 generator; same inputs give identical output.
-    method : {"auto", "cholesky", "circulant"}
-        "auto" picks cholesky for n <= 4096 and circulant above.
+    method : {"circulant", "cholesky"}
+        "circulant" (FFT, the default) or "cholesky" (dense, O(n^3)); both
+        are exact, and "cholesky" is kept to cross-check the default.
 
     Raises
     ------
@@ -135,8 +131,6 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "auto") -> FbmPath:
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2 grid steps, got {n}")
-    if method == "auto":
-        method = "cholesky" if n <= AUTO_CHOLESKY_LIMIT else "circulant"
     if method not in ("cholesky", "circulant"):
         raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)

@@ -161,6 +161,23 @@ class TestHypothesisCommand:
         result = runner.invoke(main, ["test", "--input", src, "--hurst", "0"])
         assert result.exit_code == 3
 
+    def test_alpha_out_of_range(self, runner, tmp_path):
+        src = write_increments(tmp_path / "incs.csv", np.random.default_rng(3).standard_normal(16))
+        result = runner.invoke(main, ["test", "--input", src, "--hurst", "0.3", "--alpha", "2"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: alpha")
+
+
+@pytest.mark.parametrize("args", [["estimate"], ["test", "--hurst", "0.7"]])
+def test_non_finite_input_exits_two(runner, tmp_path, args):
+    values = np.random.default_rng(4).standard_normal(64)
+    values[10] = np.nan
+    src = write_increments(tmp_path / "incs.csv", values)
+    result = runner.invoke(main, [args[0], "--input", src, *args[1:]])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: index 10: non-finite value nan\n"
+
 
 class TestAnalyzeCommand:
     def test_json_output(self, runner, tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from fbmpower.correlation import (
+    _levinson,
     build_correlation,
     dense_quadratic_form,
     increment_correlation,
     asymptotic_correlation,
-    levinson_solve,
-    toeplitz_quadratic_form,
+    quadratic_form_logdet,
 )
 from fbmpower.errors import IllConditionedError, InvalidSizeError
 
@@ -108,17 +108,17 @@ class TestBuildCorrelation:
 class TestToeplitzQuadraticForm:
     def test_identity_matrix_gives_norm(self):
         corr = build_correlation(0.5, 3)
-        assert toeplitz_quadratic_form(corr, np.array([1.0, 2.0, 2.0])) == pytest.approx(
+        assert quadratic_form_logdet(corr, np.array([1.0, 2.0, 2.0]))[0] == pytest.approx(
             9.0, abs=1e-12
         )
 
     def test_zero_vector_gives_zero(self):
         corr = build_correlation(0.7, 16)
-        assert toeplitz_quadratic_form(corr, np.zeros(16)) == 0.0
+        assert quadratic_form_logdet(corr, np.zeros(16))[0] == 0.0
 
     def test_two_by_two_closed_form(self):
         corr = build_correlation(0.7, 2)
-        assert toeplitz_quadratic_form(corr, np.array([1.0, 1.0])) == pytest.approx(
+        assert quadratic_form_logdet(corr, np.array([1.0, 1.0]))[0] == pytest.approx(
             QF_2X2, abs=1e-4
         )
 
@@ -128,7 +128,7 @@ class TestToeplitzQuadraticForm:
         rng = np.random.default_rng(7 * m + int(100 * h))
         corr = build_correlation(h, m)
         z = rng.standard_normal(m)
-        fast = toeplitz_quadratic_form(corr, z)
+        fast = quadratic_form_logdet(corr, z)[0]
         dense = dense_quadratic_form(corr, z)
         assert abs(fast - dense) / dense < 1e-8
 
@@ -137,30 +137,30 @@ class TestToeplitzQuadraticForm:
         m = 2048
         corr = build_correlation(h, m)
         z = np.random.default_rng(int(h * 100)).standard_normal(m)
-        # levinson_solve has no jitter retry, so success means PD held.
-        x = levinson_solve(corr.first_row, z)
+        # _levinson has no jitter retry, so success means PD held.
+        x, _ = _levinson(corr.first_row, z)
         assert np.all(np.isfinite(x))
         assert float(z @ x) > 0.0
 
     def test_length_mismatch_rejected(self):
         corr = build_correlation(0.5, 4)
         with pytest.raises(ValueError):
-            toeplitz_quadratic_form(corr, np.ones(3))
+            quadratic_form_logdet(corr, np.ones(3))
 
     def test_indefinite_matrix_raises_after_jitter(self):
         with pytest.raises(IllConditionedError):
-            toeplitz_quadratic_form(np.array([1.0, 2.0, 0.5]), np.ones(3))
+            quadratic_form_logdet(np.array([1.0, 2.0, 0.5]), np.ones(3))
 
     def test_singular_matrix_rescued_by_jitter(self):
         # [[1, 1], [1, 1]] fails the plain solve; the jitter retry succeeds.
-        value = toeplitz_quadratic_form(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
+        value = quadratic_form_logdet(np.array([1.0, 1.0]), np.array([1.0, -1.0]))[0]
         assert np.isfinite(value) and value >= 0.0
 
     def test_result_nonnegative(self):
         rng = np.random.default_rng(11)
         corr = build_correlation(0.9, 64)
         for _ in range(5):
-            assert toeplitz_quadratic_form(corr, rng.standard_normal(64)) >= 0.0
+            assert quadratic_form_logdet(corr, rng.standard_normal(64))[0] >= 0.0
 
 
 class TestLevinsonSolve:
@@ -171,7 +171,7 @@ class TestLevinsonSolve:
         row = corr.first_row[:m]
         idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
         b = rng.standard_normal(m)
-        x = levinson_solve(row, b)
+        x = _levinson(row, b)[0]
         assert np.allclose(row[idx] @ x, b, atol=1e-10)
 
     def test_scaled_diagonal(self):
@@ -179,4 +179,4 @@ class TestLevinsonSolve:
         row = np.array([4.0, 1.0, 0.4])
         b = np.array([1.0, 2.0, 3.0])
         idx = np.abs(np.arange(3)[:, None] - np.arange(3)[None, :])
-        assert np.allclose(row[idx] @ levinson_solve(row, b), b, atol=1e-12)
+        assert np.allclose(row[idx] @ _levinson(row, b)[0], b, atol=1e-12)

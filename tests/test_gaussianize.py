@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import fbmpower.hurst as hu
+import fbmpower.hypothesis as hyp
 from fbmpower.errors import (
     DegenerateSeriesError,
+    InputFormatError,
     InvalidSizeError,
     UnfittableSeriesError,
 )
@@ -213,3 +216,36 @@ class TestInverseTransform:
         y = np.random.default_rng(17).standard_normal(128)
         back = inverse_transform(transform(y, lam)).values
         assert np.all(np.abs(back - y) <= 1e-12 * np.abs(y))
+
+
+def _with_value_at_5(value):
+    v = np.random.default_rng(0).standard_normal(64)
+    v[5] = value
+    return v
+
+
+BAD_SERIES = {
+    "nan": (_with_value_at_5(np.nan), InputFormatError, "index 5"),
+    "inf": (_with_value_at_5(np.inf), InputFormatError, "index 5"),
+    # Every square underflows to 0, so the mean square is exactly 0.
+    "underflow": (np.random.default_rng(0).standard_normal(64) * 1e-170,
+                  DegenerateSeriesError, "mean square"),
+    "zeros": (np.zeros(64), DegenerateSeriesError, "mean square"),
+    "two_dim": (np.ones((8, 8)), InvalidSizeError, "1-D"),
+}
+
+ENTRY_POINTS = {
+    "kurtosis_ratio": kurtosis_ratio,
+    "fit_lambda": fit_lambda,
+    "q_statistic": lambda v: hu.q_statistic(v, 0.5),
+    "estimate_hurst": hu.estimate_hurst,
+    "test_hypothesis": lambda v: hyp.test_hypothesis(v, 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERIES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_series_raise_the_same_typed_error_everywhere(entry, case):
+    values, error, message = BAD_SERIES[case]
+    with pytest.raises(error, match=message):
+        ENTRY_POINTS[entry](values)

@@ -65,9 +65,10 @@ class TestSimulateFbm:
         path = simulate_fbm(0.5, 4, 0, "cholesky")
         assert np.allclose(path.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_auto_method_switches_on_size(self):
-        assert simulate_fbm(0.5, 64, 0).method == "cholesky"
-        assert simulate_fbm(0.5, 5000, 0).method == "circulant"
+    def test_default_method_is_circulant(self):
+        assert simulate_fbm(0.5, 64, 0).method == "circulant"
+        with pytest.raises(ValueError):
+            simulate_fbm(0.5, 64, 0, "auto")
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 Subcommands mirror the pipeline stages: `analyze` runs the whole chain on a
 long-format CSV, while `simulate`, `gaussianize`, `estimate`, and `test`
-expose the individual stages for scripted use.  Exit codes: 0 on success
-(per-series warnings included), 2 on input/parse errors, 3 on bad
-configuration.
+expose the individual stages for scripted use, with the same parameter
+rules.  The `main` group alone maps errors to exit codes and prints one
+`error:` line: 0 on success (per-series warnings included), 1 when no
+power transform Gaussianizes the series, 2 on input/parse errors, 3 on
+bad configuration.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ from .errors import (
 )
 from .simulate import simulate_fbm
 
-EXIT_INPUT_ERROR = 2
-EXIT_CONFIG_ERROR = 3
-
-
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+# Exit code of each error class; the first class that matches wins.
+EXIT_CODES = ((UnfittableSeriesError, 1), (ConfigurationError, 3), (AnalysisError, 2))
 
 
 def _read_values(path) -> np.ndarray:
@@ -42,7 +39,7 @@ def _read_values(path) -> np.ndarray:
     used, so two-column (t, value) files from `simulate` work unchanged.
     A single non-numeric first row is treated as a header."""
     values = []
-    with open(path, encoding="utf-8") as handle:
+    with pipeline._open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -80,7 +77,18 @@ def _config_options(command):
     return command
 
 
-@click.group()
+class _ErrorExitGroup(click.Group):
+    """Runs a subcommand and turns the package's errors into exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AnalysisError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in EXIT_CODES if isinstance(exc, cls)))
+
+
+@click.group(cls=_ErrorExitGroup)
 @click.version_option(package_name="fbmpower")
 def main() -> None:
     """Model time series as transformed fBm increments and report their
@@ -123,14 +131,7 @@ def analyze(input_path, quantity, fmt, out, grid_start, grid_stop, grid_step,
         gap_policy=gap_policy,
         require_delta_on_persistent=require_delta_on_persistent,
     )
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        _fail(str(exc), EXIT_CONFIG_ERROR)
-    try:
-        series, warnings = pipeline.load_csv(input_path, gap_policy=gap_policy)
-    except InputFormatError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    series, warnings = pipeline.load_csv(input_path, gap_policy=config.gap_policy)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
     if quantity != "both":
@@ -153,10 +154,7 @@ def analyze(input_path, quantity, fmt, out, grid_start, grid_stop, grid_step,
               help="Output CSV (default: stdout).")
 def simulate(hurst, n, seed, method, out) -> None:
     """Generate one fBm path and write it as two-column CSV (t, value)."""
-    try:
-        path = simulate_fbm(hurst, n, seed, method)
-    except (ValueError, AnalysisError) as exc:
-        _fail(str(exc), EXIT_CONFIG_ERROR)
+    path = simulate_fbm(hurst, n, seed, method)
     lines = ["t,value"]
     lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(path.times, path.values))
     _write_text("\n".join(lines) + "\n", out)
@@ -171,16 +169,8 @@ def simulate(hurst, n, seed, method, out) -> None:
 @click.option("--max-iter", type=int, default=100, show_default=True)
 def gaussianize(input_path, out, ratio_tol, max_iter) -> None:
     """Fit the power-transform exponent and write the transformed series."""
-    try:
-        values = _read_values(input_path)
-    except InputFormatError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    try:
-        lam = gz.fit_lambda(values, tol=ratio_tol, max_iter=max_iter)
-    except UnfittableSeriesError as exc:
-        _fail(str(exc), 1)
-    except AnalysisError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    values = _read_values(input_path)
+    lam = gz.fit_lambda(values, tol=ratio_tol, max_iter=max_iter)
     series = gz.transform(values, lam)
     lines = [
         f"# lambda = {float(series.lam)!r}",
@@ -200,16 +190,8 @@ def gaussianize(input_path, out, ratio_tol, max_iter) -> None:
 @_config_options
 def estimate(input_path, out, grid_start, grid_stop, grid_step, q_constant) -> None:
     """Estimate the Hurst exponent of an increment series; JSON out."""
-    try:
-        values = _read_values(input_path)
-    except InputFormatError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    try:
-        result = hu.estimate_hurst(values, grid_start, grid_stop, grid_step, q_constant)
-    except ConfigurationError as exc:
-        _fail(str(exc), EXIT_CONFIG_ERROR)
-    except AnalysisError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    values = _read_values(input_path)
+    result = hu.estimate_hurst(values, grid_start, grid_stop, grid_step, q_constant)
     doc = {"schema_version": pipeline.SCHEMA_VERSION, **asdict(result)}
     _write_text(json.dumps(doc, indent=2) + "\n", out)
 
@@ -228,23 +210,15 @@ def estimate(input_path, out, grid_start, grid_stop, grid_step, q_constant) -> N
 def hypothesis_test(input_path, hurst, out, alpha, beta0, paper_constants,
                     require_delta_on_persistent) -> None:
     """Test whether an increment series behaves as fBm increments; JSON out."""
-    try:
-        values = _read_values(input_path)
-    except InputFormatError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    try:
-        stats = hyp.test_hypothesis(
-            values,
-            hurst,
-            beta0=beta0,
-            alpha=alpha,
-            paper_constants=paper_constants,
-            require_delta_on_persistent=require_delta_on_persistent,
-        )
-    except AnalysisError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    except ValueError as exc:  # --hurst or --alpha outside (0, 1)
-        _fail(str(exc), EXIT_CONFIG_ERROR)
+    values = _read_values(input_path)
+    stats = hyp.test_hypothesis(
+        values,
+        hurst,
+        beta0=beta0,
+        alpha=alpha,
+        paper_constants=paper_constants,
+        require_delta_on_persistent=require_delta_on_persistent,
+    )
     doc = {"schema_version": pipeline.SCHEMA_VERSION, **asdict(stats)}
     _write_text(json.dumps(doc, indent=2) + "\n", out)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidSizeError
+from .errors import ConfigurationError, IllConditionedError, InvalidSizeError
 
 __all__ = [
     "IncrementCorrelation",
@@ -35,10 +35,10 @@ JITTER = 1e-10
 
 
 def check_hurst(h: float) -> float:
-    """Validate a Hurst exponent; the open interval (0, 1) is required."""
+    """Validate a Hurst exponent; outside (0, 1) it is a ConfigurationError."""
     h = float(h)
     if not np.isfinite(h) or not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst exponent must lie strictly in (0, 1), got {h!r}")
+        raise ConfigurationError(f"Hurst exponent must lie strictly in (0, 1), got {h!r}")
     return h
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
     InvalidSizeError,
@@ -190,6 +191,14 @@ def _initial_guess(raw_ratio: float) -> float:
     return float(np.clip(1.0 / root, LAMBDA_MIN, LAMBDA_MAX))
 
 
+def _check_fit_settings(tol: float, max_iter: int) -> None:
+    """The one home of the ratio-tolerance and iteration-count rules."""
+    if not tol > 0.0:
+        raise ConfigurationError(f"ratio tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigurationError(f"max iterations must be >= 1, got {max_iter}")
+
+
 def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
     """Fit the transform exponent so the ratio of z = sgn(y)|y|^lam hits 2/pi.
 
@@ -197,8 +206,10 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
     the Gaussian ratio.  Otherwise brackets the root around an initial guess
     from the theoretical ratio curve and bisects; if no exponent in
     [0.05, 20] brackets the target the series cannot be Gaussianized by a
-    power transform and UnfittableSeriesError is raised.
+    power transform and UnfittableSeriesError is raised.  A non-positive
+    `tol` or `max_iter` is a ConfigurationError.
     """
+    _check_fit_settings(tol, max_iter)
     vals = _checked_values(y)
     raw_ratio = kurtosis_ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
@@ -274,9 +285,6 @@ def transform(y, lam: float) -> GaussianizedSeries:
 
 def inverse_transform(z: GaussianizedSeries) -> IncrementSeries:
     """Undo the power transform: y = sgn(z) |z|^(1/lam)."""
-    vals = _values(z)
-    lam = float(z.lam)
-    if not lam > 0.0:
-        raise ValueError(f"exponent must be positive, got {lam!r}")
-    y = _power_signed(vals, 1.0 / lam)
+    # GaussianizedSeries has checked that its exponent is positive.
+    y = _power_signed(_values(z), 1.0 / float(z.lam))
     return IncrementSeries(values=y, m=y.size)

@@ -63,8 +63,9 @@ def q_statistic(z, h: float, q_constant: float = DEFAULT_Q_CONSTANT) -> float:
     Scale free: multiplying z by any positive constant leaves the value
     unchanged.  Raises the input errors of the checked series (non-finite,
     too short, zero mean square) and propagates IllConditionedError from
-    the Toeplitz solve.
+    the Toeplitz solve, and ConfigurationError for a non-positive constant.
     """
+    _check_q_constant(q_constant)
     vals = _checked_values(z)
     return _score(vals, float(np.mean(np.abs(vals))), h, q_constant)[0]
 
@@ -82,6 +83,12 @@ def _make_grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.round(grid, 12)
 
 
+def _check_q_constant(q_constant: float) -> None:
+    """The one home of the q-constant rule."""
+    if not q_constant > 0.0:
+        raise ConfigurationError(f"q constant must be positive, got {q_constant}")
+
+
 def estimate_hurst(
     z,
     grid_start: float = GRID_START,
@@ -95,11 +102,13 @@ def estimate_hurst(
     grid (ties resolve to the smaller H); the q score of every grid point is
     kept for reporting.  Multiplying the series by a positive constant
     shifts the objective uniformly, so the estimate is exactly scale
-    invariant, and identical inputs give identical estimates.
+    invariant, and identical inputs give identical estimates.  Bad grid
+    bounds or a non-positive `q_constant` raise ConfigurationError.
     """
+    grid_h = _make_grid(grid_start, grid_stop, grid_step)
+    _check_q_constant(q_constant)
     vals = _checked_values(z)
     r1 = float(np.mean(np.abs(vals)))
-    grid_h = _make_grid(grid_start, grid_stop, grid_step)
     scores = np.empty(grid_h.size)
     objectives = np.empty(grid_h.size)
     for i, h in enumerate(grid_h):

@@ -40,7 +40,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .correlation import check_hurst
-from .errors import InvalidSizeError
+from .errors import ConfigurationError, DegenerateSeriesError, InvalidSizeError
 from .gaussianize import _checked_values, _values
 
 __all__ = [
@@ -148,6 +148,14 @@ def stat_D(z, v, h: float) -> float:
     return float(m ** (-2.0 * h) * np.sum(v * vals**3))
 
 
+def _check_settings(alpha: float, beta0: float = DEFAULT_BETA0) -> None:
+    """The one home of the alpha and beta0 rules."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not beta0 > 0.0:
+        raise ConfigurationError(f"beta0 must be positive, got {beta0}")
+
+
 def thresholds(
     c: float,
     h: float,
@@ -161,14 +169,13 @@ def thresholds(
     `paper_constants` the historical rounded coefficients 4.95 / 4.08
     (alpha = 0.1) are used instead of the exact normal quantile.
     """
+    _check_settings(alpha)
     if not c > 0.0:
         raise ValueError(f"mean square c must be positive, got {c!r}")
     if paper_constants:
         coeff_b = PAPER_B_COEFFICIENT
         coeff_d = PAPER_D_COEFFICIENT
     else:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         z_a = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         coeff_b = 3.0 * z_a
         coeff_d = 1.5 * z_a * z_a
@@ -218,12 +225,18 @@ def test_hypothesis(
     """Run the full fBm-increment hypothesis test at the estimated exponent.
 
     Computes c, the partial sums, the branch statistics and thresholds, and
-    the verdict.  Raises the input errors of the checked series (non-finite,
-    too short, zero mean square) and ValueError for h_hat outside (0, 1).
+    the verdict.  Raises ConfigurationError for h_hat outside (0, 1), alpha
+    outside (0, 1) or a non-positive beta0, and the input errors of the
+    checked series (non-finite, too short, zero mean square).  A mean
+    square c so small that c^2.5 underflows is a DegenerateSeriesError:
+    beta1, stat_B and then c^2 would lose all precision or reach 0.
     """
-    vals = _checked_values(z)
     check_hurst(h_hat)
+    _check_settings(alpha, beta0)
+    vals = _checked_values(z)
     c = float(np.mean(vals * vals))
+    if c**2.5 < np.finfo(float).tiny:
+        raise DegenerateSeriesError(f"mean square {c:.3g} is too small: c^2.5 underflows")
 
     v = partial_sums(vals)
     a_n = stat_A(vals, v)

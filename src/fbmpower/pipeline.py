@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime
 
@@ -22,6 +23,7 @@ from . import gaussianize as gz
 from . import hurst as hu
 from . import hypothesis as hyp
 from .errors import (
+    AnalysisError,
     ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
@@ -104,7 +106,9 @@ class AnalysisConfig:
     """Tunable parameters of the analysis.
 
     Every field but `max_iter` maps to the `analyze` flag of the same
-    name; `max_iter` can be set only from Python.
+    name; `max_iter` can be set only from Python.  Building a config checks
+    each field with the rule of the stage that uses it, so an invalid config
+    raises ConfigurationError and cannot exist.
     """
 
     grid_start: float = hu.GRID_START
@@ -119,23 +123,12 @@ class AnalysisConfig:
     gap_policy: str = "drop"
     require_delta_on_persistent: bool = False
 
-    def validate(self) -> "AnalysisConfig":
+    def __post_init__(self) -> None:
         hu._make_grid(self.grid_start, self.grid_stop, self.grid_step)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.beta0 > 0.0:
-            raise ConfigurationError(f"beta0 must be positive, got {self.beta0}")
-        if not self.q_constant > 0.0:
-            raise ConfigurationError(f"q constant must be positive, got {self.q_constant}")
-        if not self.ratio_tol > 0.0:
-            raise ConfigurationError(f"ratio tolerance must be positive, got {self.ratio_tol}")
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iter}")
-        if self.gap_policy not in GAP_POLICIES:
-            raise ConfigurationError(
-                f"gap policy must be one of {GAP_POLICIES}, got {self.gap_policy!r}"
-            )
-        return self
+        hu._check_q_constant(self.q_constant)
+        gz._check_fit_settings(self.ratio_tol, self.max_iter)
+        hyp._check_settings(self.alpha, self.beta0)
+        _check_gap_policy(self.gap_policy)
 
 
 @dataclass(frozen=True)
@@ -186,10 +179,33 @@ def load_csv(path, gap_policy: str = "drop") -> tuple[list[RawSeries], list[str]
     Raises InputFormatError, with the offending line number, on a missing
     or wrong header, an unparsable row, or a duplicate timestamp.
     """
+    _check_gap_policy(gap_policy)
+    with _open_utf8(path, newline="") as handle:
+        return _parse_long_csv(handle, gap_policy)
+
+
+@contextmanager
+def _open_utf8(path, newline=None):
+    """Open a UTF-8 text file; reading a byte that is not UTF-8 raises
+    InputFormatError naming its line."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InputFormatError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+        raise
+
+
+def _check_gap_policy(gap_policy: str) -> None:
+    """The one home of the gap-policy rule."""
     if gap_policy not in GAP_POLICIES:
         raise ConfigurationError(f"gap policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        return _parse_long_csv(handle, gap_policy)
 
 
 def _parse_long_csv(handle, gap_policy: str) -> tuple[list[RawSeries], list[str]]:
@@ -350,10 +366,10 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
     """Run the full analysis of one series and assemble its report.
 
     Degenerate preprocessing and an unfittable Gaussianization degrade to
-    warnings on the report rather than raising, so one bad series cannot
-    take down a batch run.
+    warnings on the report rather than raising, and so does any
+    AnalysisError after the fit, which leaves the verdict None; one bad
+    series cannot take down a batch run.
     """
-    config.validate()
     warnings: list[str] = []
 
     try:
@@ -388,22 +404,32 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
             warnings=tuple(warnings),
         )
 
-    z = gz.transform(incs, lam)
-    estimate = hu.estimate_hurst(
-        z,
-        grid_start=config.grid_start,
-        grid_stop=config.grid_stop,
-        grid_step=config.grid_step,
-        q_constant=config.q_constant,
-    )
-    stats = hyp.test_hypothesis(
-        z,
-        estimate.h_hat,
-        beta0=config.beta0,
-        alpha=config.alpha,
-        paper_constants=config.paper_constants,
-        require_delta_on_persistent=config.require_delta_on_persistent,
-    )
+    try:
+        z = gz.transform(incs, lam)
+        estimate = hu.estimate_hurst(
+            z,
+            grid_start=config.grid_start,
+            grid_stop=config.grid_stop,
+            grid_step=config.grid_step,
+            q_constant=config.q_constant,
+        )
+        stats = hyp.test_hypothesis(
+            z,
+            estimate.h_hat,
+            beta0=config.beta0,
+            alpha=config.alpha,
+            paper_constants=config.paper_constants,
+            require_delta_on_persistent=config.require_delta_on_persistent,
+        )
+    except AnalysisError as exc:
+        warnings.append(f"no verdict: {exc}")
+        return BuildingReport(
+            building_id=series.building_id,
+            quantity=series.quantity,
+            m=incs.m,
+            lam=lam,
+            warnings=tuple(warnings),
+        )
     labels = hyp.classify(estimate.h_hat, stats.verdict)
     return BuildingReport(
         building_id=series.building_id,

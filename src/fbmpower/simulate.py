@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _correlation_row, _dense_toeplitz, check_hurst, increment_correlation
-from .errors import CirculantEmbeddingError, IllConditionedError
+from .errors import CirculantEmbeddingError, ConfigurationError, IllConditionedError
 
 __all__ = ["FbmPath", "fbm_covariance", "simulate_fbm"]
 
@@ -116,13 +116,15 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     n : int
         Number of grid steps; the path has n + 1 points and starts at 0.
     seed : int
-        Seed for the PCG64 generator; same inputs give identical output.
+        Seed (>= 0) for the PCG64 generator; same inputs give identical output.
     method : {"circulant", "cholesky"}
         "circulant" (FFT, the default) or "cholesky" (dense, O(n^3)); both
         are exact, and "cholesky" is kept to cross-check the default.
 
     Raises
     ------
+    ConfigurationError
+        If h, n, seed or method is outside the ranges above.
     CirculantEmbeddingError
         If the embedding has a materially negative eigenvalue (does not
         happen for fBm increments; callers may fall back to cholesky).
@@ -130,9 +132,11 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     h = check_hurst(h)
     n = int(n)
     if n < 2:
-        raise ValueError(f"need n >= 2 grid steps, got {n}")
+        raise ConfigurationError(f"need n >= 2 grid steps, got {n}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if method not in ("cholesky", "circulant"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigurationError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     fgn = _fgn_cholesky(h, n, rng) if method == "cholesky" else _fgn_circulant(h, n, rng)
     values = np.empty(n + 1)

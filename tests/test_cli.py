@@ -1,11 +1,12 @@
 import json
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fbmpower.cli import main
-from fbmpower.simulate import simulate_fbm
+from fbmpower.simulate import _fgn_circulant, simulate_fbm
 
 
 @pytest.fixture
@@ -238,3 +239,84 @@ class TestAnalyzeCommand:
         src = analysis_csv(tmp_path)
         result = runner.invoke(main, ["analyze", "--input", src, "--grid-step", "0.5"])
         assert result.exit_code == 3
+
+
+def long_csv(path, buildings):
+    t0 = datetime(2024, 1, 1)
+    lines = ["timestamp,building,quantity,value"]
+    for building, values in buildings:
+        lines += [f"{(t0 + timedelta(hours=k)).isoformat()},{building},P,{float(v)!r}"
+                  for k, v in enumerate(values)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def ramp(eps, m=2048):
+    """A nearly linear ramp: after detrending, its increments Gaussianize
+    only at an exponent near 19, which leaves them so small that the later
+    statistics underflow."""
+    rng = np.random.default_rng(0)
+    steps = 1 + eps * rng.choice([-1, 1], m) * (1 + 0.1 * rng.random(m))
+    return 100 + np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def normal_file(tmp_path):
+    return write_increments(tmp_path / "z.csv", np.random.default_rng(3).standard_normal(64))
+
+
+def non_utf8_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"timestamp,building,quantity,value\n2024-01-01T00:00:00,caf\xe9,P,1.0\n")
+    return str(path)
+
+
+def tiny_file(tmp_path):
+    # Unit-variance increments whose mean square c is so small that c^2.5 underflows.
+    z = _fgn_circulant(0.3, 1024, np.random.default_rng(3)) * 1e-100
+    return write_increments(tmp_path / "tiny.csv", z)
+
+
+def ramp_fleet(eps):
+    def make(tmp_path):
+        good = simulate_fbm(0.7, 2048, 1).values
+        return long_csv(tmp_path / "fleet.csv", [("good", good), ("ramp", ramp(eps))])
+    return make
+
+
+@pytest.mark.parametrize(
+    "make_input, args, code",
+    [
+        pytest.param(normal_file, ["gaussianize", "--ratio-tol", "-1"], 3, id="ratio-tol"),
+        pytest.param(normal_file, ["gaussianize", "--max-iter", "0"], 3, id="max-iter"),
+        pytest.param(normal_file, ["estimate", "--q-constant", "-1"], 3, id="q-constant"),
+        pytest.param(normal_file, ["test", "--hurst", "0.3", "--beta0", "-1"], 3, id="beta0"),
+        pytest.param(normal_file, ["test", "--hurst", "0.3", "--alpha", "2", "--paper-constants"],
+                     3, id="alpha-paper-constants"),
+        pytest.param(None, ["simulate", "--hurst", "0.5", "--n", "8", "--seed", "-1"], 3,
+                     id="seed"),
+        pytest.param(lambda tmp_path: write_increments(tmp_path / "pm.csv", [1.0, -1.0] * 8),
+                     ["gaussianize"], 1, id="unfittable"),
+        pytest.param(non_utf8_file, ["analyze"], 2, id="analyze-non-utf8"),
+        pytest.param(non_utf8_file, ["estimate"], 2, id="estimate-non-utf8"),
+        pytest.param(tiny_file, ["test", "--hurst", "0.3"], 2, id="underflow"),
+        pytest.param(ramp_fleet(1e-4), ["analyze"], 0, id="ramp-1e-4"),
+        pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
+    ],
+)
+def test_one_error_path(runner, tmp_path, make_input, args, code):
+    """Every subcommand applies the stage rules and exits through the group
+    handler; one underflowing building leaves the rest of a batch intact."""
+    input_args = [] if make_input is None else ["--input", make_input(tmp_path)]
+    result = runner.invoke(main, [args[0], *input_args, *args[1:]])
+    assert result.exit_code == code
+    if code:
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        return
+    reports = json.loads(result.stdout)["reports"]
+    assert [r["building_id"] for r in reports] == ["good", "ramp"]
+    assert reports[1]["verdict"] is None
+    assert reports[1]["warnings"][0].startswith("no verdict: ")
+    alone = long_csv(tmp_path / "good.csv", [("good", simulate_fbm(0.7, 2048, 1).values)])
+    assert reports[0] == json.loads(invoke(runner, "analyze", "--input", alone).stdout)["reports"][0]

@@ -4,6 +4,7 @@ import pytest
 import fbmpower.hurst as hu
 import fbmpower.hypothesis as hyp
 from fbmpower.errors import (
+    ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
     InvalidSizeError,
@@ -137,6 +138,12 @@ class TestFitLambda:
     def test_short_input_rejected(self):
         with pytest.raises(InvalidSizeError):
             fit_lambda(np.ones(4))
+
+    @pytest.mark.parametrize("kwargs", [dict(tol=-1.0), dict(max_iter=0)])
+    def test_bad_settings_rejected(self, kwargs):
+        y = np.random.default_rng(3).standard_normal(64)
+        with pytest.raises(ConfigurationError):
+            fit_lambda(y, **kwargs)
 
     def test_monotone_ratio_in_exponent(self):
         rng = np.random.default_rng(5)

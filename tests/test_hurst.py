@@ -116,6 +116,13 @@ class TestEstimateHurst:
         with pytest.raises(ConfigurationError):
             estimate_hurst(z, **kwargs)
 
+    def test_bad_q_constant_rejected(self):
+        z = np.random.default_rng(10).standard_normal(64)
+        with pytest.raises(ConfigurationError):
+            estimate_hurst(z, q_constant=-1.0)
+        with pytest.raises(ConfigurationError):
+            q_statistic(z, 0.5, q_constant=-1.0)
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             estimate_hurst(np.zeros(64))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fbmpower.hypothesis as hyp
-from fbmpower.errors import DegenerateSeriesError, InvalidSizeError
-from fbmpower.simulate import simulate_fbm
+from fbmpower.errors import ConfigurationError, DegenerateSeriesError, InvalidSizeError
+from fbmpower.simulate import _fgn_circulant, simulate_fbm
 
 # Frozen from the quantile derivation with the exact normal quantile
 # z(0.95) = 1.6448536269514722.
@@ -173,6 +173,23 @@ class TestTestHypothesis:
     def test_h_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             hyp.test_hypothesis(np.ones(16), 1.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(beta0=-1.0), dict(alpha=2.0, paper_constants=True)])
+    def test_bad_settings_rejected(self, kwargs):
+        z = np.random.default_rng(3).standard_normal(64)
+        with pytest.raises(ConfigurationError):
+            hyp.test_hypothesis(z, 0.3, **kwargs)
+
+    def test_underflowing_scale_rejected(self):
+        # At x 1e-70, c is about 1e-140 and c^2.5 underflows: beta1 and stat_B
+        # both read 0.0, which used to flip the verdict to "rejected"; at
+        # x 1e-100 c^2 underflows too and a_limit was 0.
+        z = _fgn_circulant(0.3, 1024, np.random.default_rng(3))
+        for scale in (1.0, 1e-60):
+            assert hyp.test_hypothesis(z * scale, 0.3).verdict == "accepted"
+        for scale in (1e-70, 1e-100):
+            with pytest.raises(DegenerateSeriesError):
+                hyp.test_hypothesis(z * scale, 0.3)
 
     def test_scale_equivariance(self):
         z = standardized_increments(0.3, 512, 81)

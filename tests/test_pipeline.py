@@ -249,7 +249,7 @@ class TestLoadCsv:
 
 class TestAnalysisConfig:
     def test_defaults_validate(self):
-        AnalysisConfig().validate()
+        AnalysisConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -266,7 +266,7 @@ class TestAnalysisConfig:
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            AnalysisConfig(**kwargs).validate()
+            AnalysisConfig(**kwargs)
 
 
 class TestAnalyze:

@@ -37,7 +37,8 @@ EXIT_CODES = ((UnfittableSeriesError, 1), (ConfigurationError, 3), (AnalysisErro
 def _read_values(path) -> np.ndarray:
     """Read one value per line from a CSV; the last field of each row is
     used, so two-column (t, value) files from `simulate` work unchanged.
-    A single non-numeric first row is treated as a header."""
+    A single non-numeric first row is treated as a header; a `nan` or `inf`
+    is an InputFormatError naming its line."""
     values = []
     with pipeline._open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -46,11 +47,14 @@ def _read_values(path) -> np.ndarray:
                 continue
             cell = text.split(",")[-1].strip()
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 if lineno == 1:
                     continue  # header row
                 raise InputFormatError(f"line {lineno}: unparsable value {cell!r}") from None
+            if not np.isfinite(value):
+                raise InputFormatError(f"line {lineno}: non-finite value {value}")
+            values.append(value)
     if not values:
         raise InputFormatError("no numeric values found")
     return np.array(values)

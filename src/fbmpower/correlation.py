@@ -6,22 +6,20 @@ Gaussian sequence whose lag-k correlation is
 
     rho(k) = 0.5 * ((k+1)^(2H) + |k-1|^(2H) - 2 k^(2H)),
 
-so the correlation matrix is symmetric Toeplitz with unit diagonal.  The
-quadratic form z' S^-1 z is evaluated with the Levinson recursion (O(m^2),
+so the correlation matrix is symmetric Toeplitz with unit diagonal, and its
+first row, as returned by `build_correlation`, is all the solvers below take.
+The quadratic form z' S^-1 z is evaluated with the Levinson recursion (O(m^2),
 see Golub & Van Loan, "Matrix Computations", alg. 4.7.3); a dense Cholesky
 path is kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, IllConditionedError, InvalidSizeError
 
 __all__ = [
-    "IncrementCorrelation",
     "check_hurst",
     "increment_correlation",
     "asymptotic_correlation",
@@ -75,28 +73,14 @@ def asymptotic_correlation(h: float, lag: int) -> float:
     return float(h * (2.0 * h - 1.0) * float(lag) ** (2.0 * h - 2.0))
 
 
-@dataclass(frozen=True)
-class IncrementCorrelation:
-    """First row of the symmetric Toeplitz increment-correlation matrix."""
-
-    first_row: np.ndarray
-    m: int
-    hurst: float
-
-    def __post_init__(self) -> None:
-        row = np.asarray(self.first_row, dtype=float)
-        if row.ndim != 1 or row.size != self.m:
-            raise ValueError("first_row must be one-dimensional with length m")
-        object.__setattr__(self, "first_row", row)
-
-
-def build_correlation(h: float, m: int) -> IncrementCorrelation:
-    """Correlation structure for m increments at Hurst exponent h."""
+def build_correlation(h: float, m: int) -> np.ndarray:
+    """First row (lags 0..m-1) of the correlation of m increments at Hurst
+    exponent h."""
     h = check_hurst(h)
     m = int(m)
     if m < 2:
         raise InvalidSizeError(f"need at least 2 increments, got m={m}")
-    return IncrementCorrelation(first_row=_correlation_row(h, m), m=m, hurst=h)
+    return _correlation_row(h, m)
 
 
 def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -140,15 +124,13 @@ def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x / diag, float(logdet + n * np.log(diag))
 
 
-def quadratic_form_logdet(
-    corr: IncrementCorrelation | np.ndarray, z: np.ndarray
-) -> tuple[float, float]:
+def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """(z' S^-1 z, logdet S) in one Levinson pass.
 
     On a failed factorization the solve is retried once with diagonal
     jitter 1e-10 before raising IllConditionedError.
     """
-    row = corr.first_row if isinstance(corr, IncrementCorrelation) else np.asarray(corr, float)
+    row = np.asarray(row, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.size != row.size:
         raise ValueError(f"z length {z.size} does not match correlation size {row.size}")
@@ -167,9 +149,9 @@ def _dense_toeplitz(row: np.ndarray) -> np.ndarray:
     return row[idx]
 
 
-def dense_quadratic_form(corr: IncrementCorrelation | np.ndarray, z: np.ndarray) -> float:
+def dense_quadratic_form(row: np.ndarray, z: np.ndarray) -> float:
     """Same quadratic form via dense Cholesky, O(m^3); cross-check path only."""
-    row = corr.first_row if isinstance(corr, IncrementCorrelation) else np.asarray(corr, float)
+    row = np.asarray(row, dtype=float)
     z = np.asarray(z, dtype=float)
     try:
         chol = np.linalg.cholesky(_dense_toeplitz(row))

@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_ratio_theoretical",
     "fit_lambda",
     "transform",
-    "inverse_transform",
 ]
 
 # (E|Z|)^2 / E Z^2 for a centered Gaussian Z.
@@ -191,12 +190,10 @@ def _initial_guess(raw_ratio: float) -> float:
     return float(np.clip(1.0 / root, LAMBDA_MIN, LAMBDA_MAX))
 
 
-def _check_fit_settings(tol: float, max_iter: int) -> None:
-    """The one home of the ratio-tolerance and iteration-count rules."""
+def _check_ratio_tol(tol: float) -> None:
+    """The one home of the ratio-tolerance rule."""
     if not tol > 0.0:
         raise ConfigurationError(f"ratio tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigurationError(f"max iterations must be >= 1, got {max_iter}")
 
 
 def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
@@ -209,7 +206,9 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
     power transform and UnfittableSeriesError is raised.  A non-positive
     `tol` or `max_iter` is a ConfigurationError.
     """
-    _check_fit_settings(tol, max_iter)
+    _check_ratio_tol(tol)
+    if max_iter < 1:
+        raise ConfigurationError(f"max iterations must be >= 1, got {max_iter}")
     vals = _checked_values(y)
     raw_ratio = kurtosis_ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
@@ -228,33 +227,20 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
     if abs(f0) <= tol:
         return lam0
 
-    # deviation() is non-increasing in the exponent: walk outward to bracket.
-    if f0 > 0.0:
-        lo, f_lo = lam0, f0
-        hi = lam0
-        while True:
-            hi = min(hi * 2.0, LAMBDA_MAX)
-            f_hi = deviation(hi)
-            if f_hi <= 0.0:
-                break
-            if hi >= LAMBDA_MAX:
-                raise UnfittableSeriesError(
-                    "no exponent in [0.05, 20] reaches the Gaussian ratio; "
-                    "the series cannot be assumed Gaussian"
-                )
-    else:
-        hi, f_hi = lam0, f0
-        lo = lam0
-        while True:
-            lo = max(lo / 2.0, LAMBDA_MIN)
-            f_lo = deviation(lo)
-            if f_lo >= 0.0:
-                break
-            if lo <= LAMBDA_MIN:
-                raise UnfittableSeriesError(
-                    "no exponent in [0.05, 20] reaches the Gaussian ratio; "
-                    "the series cannot be assumed Gaussian"
-                )
+    # deviation() is non-increasing in the exponent: double (or halve) the
+    # exponent until the sign flips, then bisect between lam0 and that point.
+    sign = 1.0 if f0 > 0.0 else -1.0
+    lam = lam0
+    while True:
+        lam = min(max(lam * 2.0**sign, LAMBDA_MIN), LAMBDA_MAX)
+        if sign * deviation(lam) <= 0.0:
+            break
+        if lam in (LAMBDA_MIN, LAMBDA_MAX):
+            raise UnfittableSeriesError(
+                "no exponent in [0.05, 20] reaches the Gaussian ratio; "
+                "the series cannot be assumed Gaussian"
+            )
+    lo, hi = sorted((lam0, lam))
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -281,10 +267,3 @@ def transform(y, lam: float) -> GaussianizedSeries:
     else:
         achieved = float("nan")
     return GaussianizedSeries(values=z, lam=float(lam), achieved_ratio=achieved, m=z.size)
-
-
-def inverse_transform(z: GaussianizedSeries) -> IncrementSeries:
-    """Undo the power transform: y = sgn(z) |z|^(1/lam)."""
-    # GaussianizedSeries has checked that its exponent is positive.
-    y = _power_signed(_values(z), 1.0 / float(z.lam))
-    return IncrementSeries(values=y, m=y.size)

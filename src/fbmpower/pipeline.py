@@ -34,13 +34,11 @@ from .errors import (
 __all__ = [
     "SCHEMA_VERSION",
     "RawSeries",
-    "PreparedSeries",
     "AnalysisConfig",
     "BuildingReport",
     "load_csv",
     "normalize",
     "detrend",
-    "restore",
     "analyze",
     "render_report",
 ]
@@ -87,28 +85,12 @@ class RawSeries:
 
 
 @dataclass(frozen=True)
-class PreparedSeries:
-    """Residuals after [0,1] normalization and linear detrending, with the
-    parameters needed to undo both steps."""
-
-    values: np.ndarray
-    norm_min: float
-    norm_max: float
-    trend_intercept: float
-    trend_slope: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Tunable parameters of the analysis.
 
-    Every field but `max_iter` maps to the `analyze` flag of the same
-    name; `max_iter` can be set only from Python.  Building a config checks
-    each field with the rule of the stage that uses it, so an invalid config
-    raises ConfigurationError and cannot exist.
+    Every field maps to the `analyze` flag of the same name.  Building a
+    config checks each field with the rule of the stage that uses it, so an
+    invalid config raises ConfigurationError and cannot exist.
     """
 
     grid_start: float = hu.GRID_START
@@ -119,14 +101,13 @@ class AnalysisConfig:
     q_constant: float = hu.DEFAULT_Q_CONSTANT
     paper_constants: bool = False
     ratio_tol: float = 1e-3
-    max_iter: int = 100
     gap_policy: str = "drop"
     require_delta_on_persistent: bool = False
 
     def __post_init__(self) -> None:
         hu._make_grid(self.grid_start, self.grid_stop, self.grid_step)
         hu._check_q_constant(self.q_constant)
-        gz._check_fit_settings(self.ratio_tol, self.max_iter)
+        gz._check_ratio_tol(self.ratio_tol)
         hyp._check_settings(self.alpha, self.beta0)
         _check_gap_policy(self.gap_policy)
 
@@ -223,7 +204,8 @@ def _parse_long_csv(handle, gap_policy: str) -> tuple[list[RawSeries], list[str]
         )
     col = {name: names.index(name) for name in CSV_COLUMNS}
 
-    rows: dict[tuple[str, str], dict[datetime, float | None]] = {}
+    rows: dict[tuple[str, str], dict[datetime, float]] = {}
+    offsets: dict[tuple[str, str], bool] = {}
     for lineno, cells in enumerate(reader, start=2):
         if not cells or all(not cell.strip() for cell in cells):
             continue
@@ -247,38 +229,41 @@ def _parse_long_csv(handle, gap_policy: str) -> tuple[list[RawSeries], list[str]
                 f"got {cells[col['quantity']]!r}"
             )
         raw_value = cells[col["value"]].strip()
-        value: float | None
-        if not raw_value:
-            value = None
-        else:
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise InputFormatError(
-                    f"line {lineno}: unparsable value {raw_value!r}"
-                ) from None
-            if not np.isfinite(value):
-                value = None
+        try:
+            value = float(raw_value) if raw_value else np.nan
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: unparsable value {raw_value!r}") from None
         key = (building, quantity)
+        # The first row of a series fixes whether its timestamps carry a UTC
+        # offset; naive and aware timestamps cannot be ordered together.
+        aware = stamp.utcoffset() is not None
+        if offsets.setdefault(key, aware) != aware:
+            raise InputFormatError(
+                f"line {lineno}: timestamp {stamp.isoformat()} "
+                f"{'has' if aware else 'lacks'} a UTC offset, unlike the first row "
+                f"of {building}/{quantity}"
+            )
         series = rows.setdefault(key, {})
         if stamp in series:
             raise InputFormatError(
                 f"line {lineno}: duplicate timestamp {stamp.isoformat()} "
                 f"for {building}/{quantity}"
             )
-        series[stamp] = value
+        # A blank or non-finite value is a gap, stored as NaN.
+        series[stamp] = value if np.isfinite(value) else np.nan
 
     out: list[RawSeries] = []
     warnings: list[str] = []
     for (building, quantity), points in sorted(rows.items()):
         stamps = sorted(points)
-        values = [points[t] for t in stamps]
-        kept_stamps, kept_values, note = _apply_gap_policy(stamps, values, gap_policy)
+        values = np.array([points[t] for t in stamps])
+        keep, note = _apply_gap_policy(stamps, values, gap_policy)
         if note:
             warnings.append(f"{building}/{quantity}: {note}")
-        if len(kept_values) < MIN_SERIES_LENGTH:
+        kept = int(keep.sum())
+        if kept < MIN_SERIES_LENGTH:
             warnings.append(
-                f"{building}/{quantity}: skipped, only {len(kept_values)} usable "
+                f"{building}/{quantity}: skipped, only {kept} usable "
                 f"observations (need {MIN_SERIES_LENGTH})"
             )
             continue
@@ -286,56 +271,59 @@ def _parse_long_csv(handle, gap_policy: str) -> tuple[list[RawSeries], list[str]
             RawSeries(
                 building_id=building,
                 quantity=quantity,
-                timestamps=tuple(kept_stamps),
-                values=np.array(kept_values),
+                timestamps=tuple(t for t, k in zip(stamps, keep) if k),
+                values=values[keep],
             )
         )
     return out, warnings
 
 
-def _apply_gap_policy(stamps, values, gap_policy):
-    missing = [i for i, v in enumerate(values) if v is None]
-    if not missing:
-        return stamps, values, ""
-    if gap_policy == "drop":
-        kept = [(t, v) for t, v in zip(stamps, values) if v is not None]
-        note = f"dropped {len(missing)} missing value(s)"
-        return [t for t, _ in kept], [v for _, v in kept], note
+def _apply_gap_policy(stamps, values, gap_policy) -> tuple[np.ndarray, str]:
+    """Mask of the rows to keep, and a note on the gaps (NaN) it handled.
 
-    # interpolate-linear: fill interior gaps, drop leading/trailing ones
-    present = [i for i, v in enumerate(values) if v is not None]
-    first, last = present[0], present[-1]
-    edge_gaps = sum(1 for i in missing if i < first or i > last)
-    filled = list(values)
-    times = [t.timestamp() for t in stamps]
-    xs = [times[i] for i in present]
-    ys = [values[i] for i in present]
-    interior = [i for i in missing if first < i < last]
-    for i in interior:
-        filled[i] = float(np.interp(times[i], xs, ys))
-    kept = [(t, filled[i]) for i, t in enumerate(stamps) if first <= i <= last]
-    note = f"interpolated {len(interior)} missing value(s)"
+    "drop" keeps every present value.  "interpolate-linear" keeps the rows
+    from the first to the last present value and fills the gaps between
+    them in `values`, weighting by time.
+    """
+    present = ~np.isnan(values)
+    missing = values.size - int(present.sum())
+    if not missing:
+        return present, ""
+    if gap_policy == "drop":
+        kept = [t for t, k in zip(stamps, present) if k]
+        note = f"dropped {missing} missing value(s)"
+        if len(kept) > 1:
+            note += f"; largest step {max(b - a for a, b in zip(kept, kept[1:]))}"
+        return present, note
+
+    where = np.flatnonzero(present)
+    keep = np.zeros(values.size, dtype=bool)
+    if where.size:
+        keep[where[0] : where[-1] + 1] = True
+    interior = keep & ~present
+    if interior.any():
+        times = np.array([t.timestamp() for t in stamps])
+        values[interior] = np.interp(times[interior], times[present], values[present])
+    note = f"interpolated {int(interior.sum())} missing value(s)"
+    edge_gaps = values.size - int(keep.sum())
     if edge_gaps:
         note += f", dropped {edge_gaps} at the edges"
-    return [t for t, _ in kept], [v for _, v in kept], note
+    return keep, note
 
 
-def normalize(values) -> tuple[np.ndarray, float, float]:
-    """Affinely map a series onto [0, 1]; constant series are degenerate."""
+def normalize(values) -> np.ndarray:
+    """The series affinely mapped onto [0, 1]; a constant series is degenerate."""
     values = np.asarray(values, dtype=float)
     lo = float(values.min())
     hi = float(values.max())
     if hi == lo:
         raise DegenerateSeriesError("constant series cannot be normalized")
-    return (values - lo) / (hi - lo), lo, hi
+    return (values - lo) / (hi - lo)
 
 
-def detrend(values, norm_min: float = 0.0, norm_max: float = 1.0) -> PreparedSeries:
-    """Remove the least-squares line over the sample index.
-
-    The fitted intercept and slope (per index step) are recorded so the
-    original values can be reconstructed exactly.
-    """
+def detrend(values) -> np.ndarray:
+    """Residuals of the series about its least-squares line over the sample
+    index."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < MIN_SERIES_LENGTH:
@@ -345,21 +333,7 @@ def detrend(values, norm_min: float = 0.0, norm_max: float = 1.0) -> PreparedSer
     v_mean = values.mean()
     slope = float(np.dot(k - k_mean, values - v_mean) / np.dot(k - k_mean, k - k_mean))
     intercept = float(v_mean - slope * k_mean)
-    residuals = values - (intercept + slope * k)
-    return PreparedSeries(
-        values=residuals,
-        norm_min=norm_min,
-        norm_max=norm_max,
-        trend_intercept=intercept,
-        trend_slope=slope,
-    )
-
-
-def restore(prepared: PreparedSeries) -> np.ndarray:
-    """Invert detrending and normalization, recovering the raw values."""
-    k = np.arange(prepared.values.size, dtype=float)
-    normed = prepared.values + prepared.trend_intercept + prepared.trend_slope * k
-    return normed * (prepared.norm_max - prepared.norm_min) + prepared.norm_min
+    return values - (intercept + slope * k)
 
 
 def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> BuildingReport:
@@ -373,15 +347,14 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
     warnings: list[str] = []
 
     try:
-        normed, lo, hi = normalize(series.values)
+        normed = normalize(series.values)
     except DegenerateSeriesError as exc:
         return BuildingReport(
             building_id=series.building_id,
             quantity=series.quantity,
             warnings=(f"degenerate series: {exc}; no statistics computed",),
         )
-    prepared = detrend(normed, norm_min=lo, norm_max=hi)
-    incs = gz.increments(prepared.values)
+    incs = gz.increments(detrend(normed))
 
     # Repeated raw readings survive detrending only as a constant offset, so
     # gauge transform conditioning on the observed increments.
@@ -393,7 +366,7 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
         )
 
     try:
-        lam = gz.fit_lambda(incs, tol=config.ratio_tol, max_iter=config.max_iter)
+        lam = gz.fit_lambda(incs, tol=config.ratio_tol)
     except (UnfittableSeriesError, DegenerateSeriesError) as exc:
         warnings.append(f"non-Gaussianizable: {exc}")
         return BuildingReport(

@@ -146,7 +146,7 @@ def test_c06c_stat_d_coverage():
     # (20200-20800 in steps of 200, 21000-32000 in steps of 1000) the ratio
     # ranged over 0.79-1.10; the remainder is heavy-tailed (kurtosis 7.7).
     h, m, spread_multiple = 0.7, 8192, 1.25
-    rho = build_correlation(h, 2**20 + 1).first_row
+    rho = build_correlation(h, 2**20 + 1)
     c3 = 1.0 + 2.0 * float(np.sum(rho[1:] ** 3))
     remainder_scale = math.sqrt(6.0 * c3 / (2.0 * h + 1.0)) * m ** (0.5 - h)
     scale = m ** (-2.0 * h)

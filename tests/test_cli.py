@@ -177,7 +177,7 @@ def test_non_finite_input_exits_two(runner, tmp_path, args):
     result = runner.invoke(main, [args[0], "--input", src, *args[1:]])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == "error: index 10: non-finite value nan\n"
+    assert result.stderr == "error: line 11: non-finite value nan\n"
 
 
 class TestAnalyzeCommand:
@@ -270,6 +270,15 @@ def non_utf8_file(tmp_path):
     return str(path)
 
 
+def mixed_offset_file(tmp_path):
+    path = tmp_path / "mixed.csv"
+    lines = ["timestamp,building,quantity,value"] + [
+        f"2024-01-01T{k:02d}:00:00{'+00:00' if k % 2 else ''},b,P,{k}" for k in range(12)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def tiny_file(tmp_path):
     # Unit-variance increments whose mean square c is so small that c^2.5 underflows.
     z = _fgn_circulant(0.3, 1024, np.random.default_rng(3)) * 1e-100
@@ -299,6 +308,7 @@ def ramp_fleet(eps):
         pytest.param(non_utf8_file, ["analyze"], 2, id="analyze-non-utf8"),
         pytest.param(non_utf8_file, ["estimate"], 2, id="estimate-non-utf8"),
         pytest.param(tiny_file, ["test", "--hurst", "0.3"], 2, id="underflow"),
+        pytest.param(mixed_offset_file, ["analyze"], 2, id="analyze-mixed-utc-offsets"),
         pytest.param(ramp_fleet(1e-4), ["analyze"], 0, id="ramp-1e-4"),
         pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
     ],

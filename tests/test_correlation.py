@@ -45,7 +45,7 @@ class TestIncrementCorrelation:
 
     @pytest.mark.parametrize("h", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
     def test_row_invariants(self, h):
-        row = build_correlation(h, 64).first_row
+        row = build_correlation(h, 64)
         assert row[0] == 1.0
         assert np.all(np.abs(row) <= 1.0 + 1e-15)
         if h == 0.5:
@@ -83,24 +83,24 @@ class TestAsymptoticCorrelation:
 class TestBuildCorrelation:
     def test_identity_row_at_half(self):
         corr = build_correlation(0.5, 4)
-        assert np.array_equal(corr.first_row, [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(corr, [1.0, 0.0, 0.0, 0.0])
 
     def test_persistent_row(self):
         corr = build_correlation(0.7, 3)
-        assert corr.first_row[0] == 1.0
-        assert corr.first_row[1] == pytest.approx(RHO_07_LAG1, abs=1e-5)
-        assert corr.first_row[2] == pytest.approx(RHO_07_LAG2, abs=1e-5)
+        assert corr[0] == 1.0
+        assert corr[1] == pytest.approx(RHO_07_LAG1, abs=1e-5)
+        assert corr[2] == pytest.approx(RHO_07_LAG2, abs=1e-5)
 
     def test_antipersistent_row(self):
         corr = build_correlation(0.3, 2)
-        assert corr.first_row[1] == pytest.approx(RHO_03_LAG1, abs=1e-5)
+        assert corr[1] == pytest.approx(RHO_03_LAG1, abs=1e-5)
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidSizeError):
             build_correlation(0.5, 1)
 
     def test_matches_scalar_correlation(self):
-        row = build_correlation(0.35, 32).first_row
+        row = build_correlation(0.35, 32)
         for lag in (0, 1, 5, 31):
             assert row[lag] == pytest.approx(increment_correlation(0.35, lag), abs=1e-14)
 
@@ -138,7 +138,7 @@ class TestToeplitzQuadraticForm:
         corr = build_correlation(h, m)
         z = np.random.default_rng(int(h * 100)).standard_normal(m)
         # _levinson has no jitter retry, so success means PD held.
-        x, _ = _levinson(corr.first_row, z)
+        x, _ = _levinson(corr, z)
         assert np.all(np.isfinite(x))
         assert float(z @ x) > 0.0
 
@@ -168,7 +168,7 @@ class TestLevinsonSolve:
     def test_solves_toeplitz_system(self, m):
         rng = np.random.default_rng(m)
         corr = build_correlation(0.6, max(m, 2))
-        row = corr.first_row[:m]
+        row = corr[:m]
         idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
         b = rng.standard_normal(m)
         x = _levinson(row, b)[0]

@@ -15,7 +15,6 @@ from fbmpower.gaussianize import (
     fit_lambda,
     gaussian_ratio_theoretical,
     increments,
-    inverse_transform,
     kurtosis_ratio,
     transform,
 )
@@ -200,29 +199,6 @@ class TestTransform:
     def test_all_zero_ratio_is_nan(self):
         z = transform(np.zeros(10), 1.0)
         assert np.isnan(z.achieved_ratio)
-
-
-class TestInverseTransform:
-    def test_round_trip_spec_vector(self):
-        y = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 3.0, -0.5, 0.25])
-        back = inverse_transform(transform(y, 0.7)).values
-        nz = y != 0
-        assert np.all(np.abs(back[nz] - y[nz]) / np.abs(y[nz]) < 1e-12)
-        assert np.all(back[~nz] == 0.0)
-
-    def test_zeros_stay_zero(self):
-        assert np.array_equal(inverse_transform(transform(np.zeros(6), 2.0)).values,
-                              np.zeros(6))
-
-    def test_inverse_of_square_root(self):
-        z = transform(np.array([-4.0, 9.0]), 0.5)
-        assert np.allclose(inverse_transform(z).values, [-4.0, 9.0], rtol=1e-12)
-
-    @pytest.mark.parametrize("lam", [0.2, 0.5, 1.0, 3.0])
-    def test_round_trip_random(self, lam):
-        y = np.random.default_rng(17).standard_normal(128)
-        back = inverse_transform(transform(y, lam)).values
-        assert np.all(np.abs(back - y) <= 1e-12 * np.abs(y))
 
 
 def _with_value_at_5(value):

@@ -1,9 +1,12 @@
+import importlib
 import json
+import pkgutil
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+import fbmpower
 from fbmpower.errors import (
     ConfigurationError,
     DegenerateSeriesError,
@@ -19,7 +22,6 @@ from fbmpower.pipeline import (
     load_csv,
     normalize,
     render_report,
-    restore,
 )
 from fbmpower.simulate import simulate_fbm
 
@@ -41,13 +43,10 @@ def hourly_rows(building, quantity, values, start_hour=0):
 
 class TestNormalize:
     def test_affine_map_to_unit_interval(self):
-        normed, lo, hi = normalize([2.0, 4.0, 6.0])
-        assert np.array_equal(normed, [0.0, 0.5, 1.0])
-        assert (lo, hi) == (2.0, 6.0)
+        assert np.array_equal(normalize([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
 
     def test_already_normalized(self):
-        normed, lo, hi = normalize([0.0, 1.0])
-        assert np.array_equal(normed, [0.0, 1.0])
+        assert np.array_equal(normalize([0.0, 1.0]), [0.0, 1.0])
 
     def test_constant_rejected(self):
         with pytest.raises(DegenerateSeriesError):
@@ -56,50 +55,30 @@ class TestNormalize:
 
 class TestDetrend:
     def test_exact_line_gives_zero_residuals(self):
-        prepared = detrend([1, 2, 3, 4, 5, 6, 7, 8, 9])
-        assert np.all(np.abs(prepared.values) < 1e-12)
-        assert prepared.trend_slope == pytest.approx(1.0, abs=1e-12)
-        assert prepared.trend_intercept == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.abs(detrend([1, 2, 3, 4, 5, 6, 7, 8, 9])) < 1e-12)
 
     def test_residuals_sum_to_zero(self):
         values = np.arange(9, dtype=float)
         values[4] += 2.5  # symmetric bump
-        prepared = detrend(values)
-        assert abs(prepared.values.sum()) < 1e-12
+        assert abs(detrend(values).sum()) < 1e-12
 
     def test_residuals_uncorrelated_with_index(self):
         rng = np.random.default_rng(3)
         values = np.cumsum(rng.standard_normal(256))
-        prepared = detrend(values)
+        residuals = detrend(values)
         k = np.arange(256)
-        raw = np.dot(k, prepared.values) - k.mean() * prepared.values.sum()
+        raw = np.dot(k, residuals) - k.mean() * residuals.sum()
         scale = np.abs(values).max() * 256
         assert abs(raw) / scale < 1e-8
 
     def test_detrending_is_idempotent(self):
         path = simulate_fbm(0.6, 512, 4, "cholesky")
-        refit = detrend(detrend(path.values).values)
-        assert abs(refit.trend_slope) < 1e-10
+        once = detrend(path.values)
+        assert np.allclose(detrend(once), once, rtol=0.0, atol=1e-10)
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSizeError):
             detrend([1.0, 2.0, 3.0])
-
-
-class TestRestore:
-    def test_round_trip_through_normalize_and_detrend(self):
-        rng = np.random.default_rng(9)
-        values = 40.0 + 12.0 * rng.standard_normal(64) + 0.3 * np.arange(64)
-        normed, lo, hi = normalize(values)
-        prepared = detrend(normed, norm_min=lo, norm_max=hi)
-        recovered = restore(prepared)
-        assert np.all(np.abs(recovered - values) / np.abs(values) < 1e-10)
-
-    def test_round_trip_on_simulated_path(self):
-        values = simulate_fbm(0.4, 256, 5, "cholesky").values + 3.0
-        normed, lo, hi = normalize(values)
-        prepared = detrend(normed, norm_min=lo, norm_max=hi)
-        assert np.allclose(restore(prepared), values, rtol=1e-10, atol=1e-12)
 
 
 class TestRawSeries:
@@ -223,7 +202,7 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "data.csv", rows)
         series, warnings = load_csv(path)
         assert series[0].values.size == 10
-        assert any("dropped 2 missing" in w for w in warnings)
+        assert warnings == ["b/P: dropped 2 missing value(s); largest step 2:00:00"]
 
     def test_gap_policy_interpolate(self, tmp_path):
         rows = hourly_rows("b", "P", range(12))
@@ -234,6 +213,44 @@ class TestLoadCsv:
         assert series[0].values.size == 11
         assert series[0].values[3] == pytest.approx(4.0)
         assert any("interpolated 1" in w and "dropped 1 at the edges" in w for w in warnings)
+
+    def test_gap_policy_interpolate_weights_by_time(self, tmp_path):
+        # Hours 0-4 and 10-14 with hour 4 blank: by time the gap lies 1 h
+        # after the value 3.0 at hour 3 and 6 h before the value 10.0 at
+        # hour 10, so it is 4.0; by row index it would be the midpoint 6.5.
+        hours = [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
+        rows = [f"2024-01-01T{h:02d}:00:00,b,P,{'' if h == 4 else float(h)}" for h in hours]
+        path = write_csv(tmp_path / "data.csv", rows)
+        series, warnings = load_csv(path, gap_policy="interpolate-linear")
+        assert np.array_equal(series[0].values, np.array(hours, dtype=float))
+        assert warnings == ["b/P: interpolated 1 missing value(s)"]
+
+    def test_gap_policy_interpolate_all_missing_skipped(self, tmp_path):
+        rows = hourly_rows("b", "P", [""] * 10)
+        path = write_csv(tmp_path / "data.csv", rows)
+        series, warnings = load_csv(path, gap_policy="interpolate-linear")
+        assert series == []
+        assert warnings == [
+            "b/P: interpolated 0 missing value(s), dropped 10 at the edges",
+            "b/P: skipped, only 0 usable observations (need 9)",
+        ]
+
+    def test_mixed_utc_offsets_in_one_series_named(self, tmp_path):
+        rows = [
+            f"2024-01-01T{k:02d}:00:00{'+00:00' if k % 2 else ''},b,P,{k}" for k in range(12)
+        ]
+        path = write_csv(tmp_path / "data.csv", rows)
+        with pytest.raises(InputFormatError, match="line 3: .*has a UTC offset.*b/P"):
+            load_csv(path)
+
+    def test_naive_and_aware_series_load_side_by_side(self, tmp_path):
+        rows = hourly_rows("naive", "P", range(10)) + [
+            f"2024-01-01T{k:02d}:00:00+01:00,aware,P,{k}" for k in range(10)
+        ]
+        path = write_csv(tmp_path / "data.csv", rows)
+        series, warnings = load_csv(path)
+        assert [s.building_id for s in series] == ["aware", "naive"]
+        assert warnings == []
 
     def test_lowercase_quantity_accepted(self, tmp_path):
         rows = [f"2024-01-01T{k:02d}:00:00,b,p,{k}" for k in range(9)]
@@ -259,7 +276,6 @@ class TestAnalysisConfig:
             dict(alpha=0.0),
             dict(beta0=-1.0),
             dict(ratio_tol=0.0),
-            dict(max_iter=0),
             dict(gap_policy="ffill"),
             dict(q_constant=0.0),
         ],
@@ -383,3 +399,17 @@ class TestRenderReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError):
             render_report([], "xml")
+
+
+def test_every_export_resolves():
+    modules = [fbmpower] + [
+        importlib.import_module(f"fbmpower.{info.name}")
+        for info in pkgutil.iter_modules(fbmpower.__path__)
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []

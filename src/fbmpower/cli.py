@@ -119,22 +119,9 @@ def main() -> None:
               default="drop", show_default=True)
 @click.option("--require-delta-on-persistent", is_flag=True,
               help="Require the stat_A deviation check on the persistent branch too.")
-def analyze(input_path, quantity, fmt, out, grid_start, grid_stop, grid_step,
-            q_constant, alpha, beta0, paper_constants, ratio_tol, gap_policy,
-            require_delta_on_persistent) -> None:
+def analyze(input_path, quantity, fmt, out, **settings) -> None:
     """Run the full persistence analysis on every series in a CSV."""
-    config = pipeline.AnalysisConfig(
-        grid_start=grid_start,
-        grid_stop=grid_stop,
-        grid_step=grid_step,
-        alpha=alpha,
-        beta0=beta0,
-        q_constant=q_constant,
-        paper_constants=paper_constants,
-        ratio_tol=ratio_tol,
-        gap_policy=gap_policy,
-        require_delta_on_persistent=require_delta_on_persistent,
-    )
+    config = pipeline.AnalysisConfig(**settings)
     series, warnings = pipeline.load_csv(input_path, gap_policy=config.gap_policy)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
@@ -192,10 +179,10 @@ def gaussianize(input_path, out, ratio_tol, max_iter) -> None:
               help="CSV of (gaussianized) increment values, one per line.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_config_options
-def estimate(input_path, out, grid_start, grid_stop, grid_step, q_constant) -> None:
+def estimate(input_path, out, **settings) -> None:
     """Estimate the Hurst exponent of an increment series; JSON out."""
     values = _read_values(input_path)
-    result = hu.estimate_hurst(values, grid_start, grid_stop, grid_step, q_constant)
+    result = hu.estimate_hurst(values, **settings)
     doc = {"schema_version": pipeline.SCHEMA_VERSION, **asdict(result)}
     _write_text(json.dumps(doc, indent=2) + "\n", out)
 

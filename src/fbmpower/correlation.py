@@ -22,14 +22,10 @@ from .errors import ConfigurationError, IllConditionedError, InvalidSizeError
 __all__ = [
     "check_hurst",
     "increment_correlation",
-    "asymptotic_correlation",
     "build_correlation",
     "quadratic_form_logdet",
     "dense_quadratic_form",
 ]
-
-# Diagonal jitter used for the single retry after a failed factorization.
-JITTER = 1e-10
 
 
 def check_hurst(h: float) -> float:
@@ -64,15 +60,6 @@ def increment_correlation(h: float, lag: int) -> float:
     )
 
 
-def asymptotic_correlation(h: float, lag: int) -> float:
-    """Power-law large-lag approximation H(2H-1) lag^(2H-2) of the correlation."""
-    h = check_hurst(h)
-    lag = int(lag)
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    return float(h * (2.0 * h - 1.0) * float(lag) ** (2.0 * h - 2.0))
-
-
 def build_correlation(h: float, m: int) -> np.ndarray:
     """First row (lags 0..m-1) of the correlation of m increments at Hurst
     exponent h."""
@@ -94,7 +81,7 @@ def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     n = row.size
     diag = row[0]
     if not np.isfinite(diag) or diag <= 0.0:
-        raise IllConditionedError(f"non-positive diagonal {diag!r}")
+        raise IllConditionedError(f"non-positive diagonal {float(diag)!r}")
     if n == 1:
         return b / diag, float(np.log(diag))
     r = row[1:] / diag  # normalized off-diagonal lags
@@ -110,7 +97,8 @@ def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         beta = (1.0 - alpha * alpha) * beta
         if not np.isfinite(beta) or beta <= 0.0:
             raise IllConditionedError(
-                f"prediction variance {beta!r} at order {k}: matrix is not positive definite"
+                f"prediction variance {float(beta)!r} at order {k}: "
+                "matrix is not positive definite"
             )
         logdet += np.log(beta)
         mu = (b[k] - np.dot(r[:k], x[k - 1 :: -1])) / beta
@@ -127,19 +115,15 @@ def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """(z' S^-1 z, logdet S) in one Levinson pass.
 
-    On a failed factorization the solve is retried once with diagonal
-    jitter 1e-10 before raising IllConditionedError.
+    A non-positive prediction variance raises IllConditionedError at once.
+    The grid's rows never reach one: their smallest variance is 0.22 at
+    H = 0.95, m = 16384.
     """
     row = np.asarray(row, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.size != row.size:
         raise ValueError(f"z length {z.size} does not match correlation size {row.size}")
-    try:
-        x, logdet = _levinson(row, z)
-    except IllConditionedError:
-        jittered = row.copy()
-        jittered[0] += JITTER
-        x, logdet = _levinson(jittered, z)
+    x, logdet = _levinson(row, z)
     return max(float(np.dot(z, x)), 0.0), logdet
 
 

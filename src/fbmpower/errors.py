@@ -19,7 +19,7 @@ class DegenerateSeriesError(AnalysisError, ValueError):
 
 
 class IllConditionedError(AnalysisError):
-    """Toeplitz/Cholesky factorization failed even after a jitter retry."""
+    """A Toeplitz or Cholesky factorization found a non-positive pivot."""
 
 
 class UnfittableSeriesError(AnalysisError):

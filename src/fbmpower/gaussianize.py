@@ -102,8 +102,8 @@ def _checked_values(series) -> np.ndarray:
 
     Raises InvalidSizeError unless it is 1-D with at least MIN_INCREMENTS
     values, InputFormatError on a non-finite value, naming its index, and
-    DegenerateSeriesError when mean(v*v) is 0: all zeros, or values so
-    small that their squares underflow.
+    DegenerateSeriesError when mean(v*v) is 0 (all zeros, or values so small
+    that their squares underflow) or infinite (squares that overflow).
     """
     vals = _values(series)
     if vals.ndim != 1 or vals.size < MIN_INCREMENTS:
@@ -113,8 +113,12 @@ def _checked_values(series) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise InputFormatError(f"index {bad[0]}: non-finite value {float(vals[bad[0]])}")
-    if float(np.mean(vals * vals)) == 0.0:
+    with np.errstate(over="ignore"):
+        mean_sq = float(np.mean(vals * vals))
+    if mean_sq == 0.0:
         raise DegenerateSeriesError("mean square is zero: all values are zero or underflow")
+    if mean_sq == math.inf:
+        raise DegenerateSeriesError("mean square overflows: values are too large")
     return vals
 
 

@@ -28,7 +28,7 @@ from .correlation import build_correlation, quadratic_form_logdet
 from .errors import ConfigurationError
 from .gaussianize import _checked_values
 
-__all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "q_statistic", "estimate_hurst"]
+__all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "estimate_hurst"]
 
 # Mean absolute value of a unit Gaussian: sqrt(2/pi).  The rounded 0.8 can be
 # passed instead for parity with older reports.
@@ -55,19 +55,6 @@ def _score(vals: np.ndarray, r1: float, h: float, q_constant: float) -> tuple[fl
     m = vals.size
     quad, logdet = quadratic_form_logdet(build_correlation(h, m), vals)
     return (q_constant / r1) * math.sqrt(quad / (m - 1)), math.log(quad / m) + logdet / m
-
-
-def q_statistic(z, h: float, q_constant: float = DEFAULT_Q_CONSTANT) -> float:
-    """Goodness-of-fit score for one candidate Hurst exponent.
-
-    Scale free: multiplying z by any positive constant leaves the value
-    unchanged.  Raises the input errors of the checked series (non-finite,
-    too short, zero mean square) and propagates IllConditionedError from
-    the Toeplitz solve, and ConfigurationError for a non-positive constant.
-    """
-    _check_q_constant(q_constant)
-    vals = _checked_values(z)
-    return _score(vals, float(np.mean(np.abs(vals))), h, q_constant)[0]
 
 
 def _make_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -100,19 +87,24 @@ def estimate_hurst(
 
     The selected exponent minimizes the Gaussian profile objective over the
     grid (ties resolve to the smaller H); the q score of every grid point is
-    kept for reporting.  Multiplying the series by a positive constant
-    shifts the objective uniformly, so the estimate is exactly scale
-    invariant, and identical inputs give identical estimates.  Bad grid
-    bounds or a non-positive `q_constant` raise ConfigurationError.
+    kept for reporting, with `r1` = mean|z| of the input.  The grid runs on
+    z times the power of two that brings max|z| into [0.5, 1).  That rescale
+    is exact, so q keeps its bits, and the solves neither overflow nor lose
+    precision to subnormals at any scale the series check admits.  Identical
+    inputs give identical estimates.  The input errors are those of the
+    checked series (non-finite, too short, zero or infinite mean square);
+    bad grid bounds or a non-positive `q_constant` raise ConfigurationError.
     """
     grid_h = _make_grid(grid_start, grid_stop, grid_step)
     _check_q_constant(q_constant)
     vals = _checked_values(z)
     r1 = float(np.mean(np.abs(vals)))
+    scaled = np.ldexp(vals, -np.frexp(np.max(np.abs(vals)))[1])
+    scaled_r1 = float(np.mean(np.abs(scaled)))
     scores = np.empty(grid_h.size)
     objectives = np.empty(grid_h.size)
     for i, h in enumerate(grid_h):
-        scores[i], objectives[i] = _score(vals, r1, float(h), q_constant)
+        scores[i], objectives[i] = _score(scaled, scaled_r1, float(h), q_constant)
     # argmin returns the first (smallest-H) index on exact ties.
     best = int(np.argmin(objectives))
     return HurstEstimate(

@@ -227,36 +227,41 @@ def test_hypothesis(
     Computes c, the partial sums, the branch statistics and thresholds, and
     the verdict.  Raises ConfigurationError for h_hat outside (0, 1), alpha
     outside (0, 1) or a non-positive beta0, and the input errors of the
-    checked series (non-finite, too short, zero mean square).  A mean
-    square c so small that c^2.5 underflows is a DegenerateSeriesError:
-    beta1, stat_B and then c^2 would lose all precision or reach 0.
+    checked series (non-finite, too short, zero or infinite mean square).
+    A DegenerateSeriesError marks a series whose statistics leave the float
+    range: a mean square c for which c^2.5 under- or overflows (beta1 and
+    stat_B scale with it), or any statistic or threshold that is not finite.
     """
     check_hurst(h_hat)
     _check_settings(alpha, beta0)
     vals = _checked_values(z)
     c = float(np.mean(vals * vals))
-    if c**2.5 < np.finfo(float).tiny:
-        raise DegenerateSeriesError(f"mean square {c:.3g} is too small: c^2.5 underflows")
-
     v = partial_sums(vals)
-    a_n = stat_A(vals, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.finfo(float).tiny <= np.float64(c) ** 2.5 < math.inf:
+            raise DegenerateSeriesError(
+                f"mean square {c:.3g} is out of range: c^2.5 under- or overflows"
+            )
+        a_n = stat_A(vals, v)
+        if h_hat <= 0.5:
+            branch = ANTIPERSISTENT_BRANCH
+            b_n: float | None = stat_B(vals, v, h_hat)
+            d_n: float | None = None
+        else:
+            branch = PERSISTENT_BRANCH
+            b_n = None
+            d_n = stat_D(vals, v, h_hat)
     a_limit = -1.5 * c * c
     delta = abs(a_n - a_limit) / abs(a_limit)
     sigma = (2.0 * h_hat + 2.0) ** -0.5
     beta1, beta2 = thresholds(c, h_hat, alpha, paper_constants)
-
-    if h_hat <= 0.5:
-        branch = ANTIPERSISTENT_BRANCH
-        b_n: float | None = stat_B(vals, v, h_hat)
-        d_n: float | None = None
-        beta2_out = None
-        beta1_out: float | None = beta1
-    else:
-        branch = PERSISTENT_BRANCH
-        b_n = None
-        d_n = stat_D(vals, v, h_hat)
-        beta1_out = None
-        beta2_out = beta2
+    beta1_out = beta1 if b_n is not None else None
+    beta2_out = beta2 if d_n is not None else None
+    computed = (a_n, delta, b_n, d_n, beta1_out, beta2_out)
+    if not all(math.isfinite(x) for x in computed if x is not None):
+        raise DegenerateSeriesError(
+            f"mean square {c:.3g}: the statistics overflow the float range"
+        )
 
     verdict = verdict_from_stats(
         h_hat,

@@ -283,7 +283,8 @@ def _apply_gap_policy(stamps, values, gap_policy) -> tuple[np.ndarray, str]:
 
     "drop" keeps every present value.  "interpolate-linear" keeps the rows
     from the first to the last present value and fills the gaps between
-    them in `values`, weighting by time.
+    them in `values`, weighting by the time since the first row, which for
+    naive timestamps does not depend on the host's time zone.
     """
     present = ~np.isnan(values)
     missing = values.size - int(present.sum())
@@ -302,7 +303,7 @@ def _apply_gap_policy(stamps, values, gap_policy) -> tuple[np.ndarray, str]:
         keep[where[0] : where[-1] + 1] = True
     interior = keep & ~present
     if interior.any():
-        times = np.array([t.timestamp() for t in stamps])
+        times = np.array([(t - stamps[0]).total_seconds() for t in stamps])
         values[interior] = np.interp(times[interior], times[present], values[present])
     note = f"interpolated {int(interior.sum())} missing value(s)"
     edge_gaps = values.size - int(keep.sum())

@@ -21,40 +21,24 @@ import numpy as np
 from .correlation import _correlation_row, _dense_toeplitz, check_hurst, increment_correlation
 from .errors import CirculantEmbeddingError, ConfigurationError, IllConditionedError
 
-__all__ = ["FbmPath", "fbm_covariance", "simulate_fbm"]
+__all__ = ["FbmPath", "simulate_fbm"]
 
 # Largest circulant-embedding eigenvalue deficit tolerated before failing.
 EIGENVALUE_TOLERANCE = -1e-9
 
 
-def fbm_covariance(t: float, s: float, h: float) -> float:
-    """Covariance E[B_H(t) B_H(s)] = 0.5 (t^2H + s^2H - |t-s|^2H)."""
-    h = check_hurst(h)
-    t = float(t)
-    s = float(s)
-    if t < 0.0 or s < 0.0:
-        raise ValueError("time arguments must be >= 0")
-    two_h = 2.0 * h
-    return 0.5 * (t**two_h + s**two_h - abs(t - s) ** two_h)
-
-
 @dataclass(frozen=True)
 class FbmPath:
-    """A simulated path B_H(k/n) for k = 0..n, with its generation record."""
+    """A simulated path B_H(k/n) for k = 0..n, with its generation record.
+
+    Built only by `simulate_fbm`, whose values have n + 1 points from 0.
+    """
 
     hurst: float
     n: int
     seed: int
     method: str
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.size != self.n + 1:
-            raise ValueError("values must have length n + 1")
-        if values[0] != 0.0:
-            raise ValueError("a path must start at 0")
-        object.__setattr__(self, "values", values)
 
     @property
     def increments(self) -> np.ndarray:

@@ -285,6 +285,18 @@ def tiny_file(tmp_path):
     return write_increments(tmp_path / "tiny.csv", z)
 
 
+def scaled_draw_file(scale):
+    def make(tmp_path):
+        z = _fgn_circulant(0.7, 512, np.random.default_rng(3)) * scale
+        return write_increments(tmp_path / "scaled.csv", z)
+    return make
+
+
+def lone_spike_file(tmp_path):
+    # Seven zeros and one value whose mean square c is finite but c^2.5 is not.
+    return write_increments(tmp_path / "spike.csv", [0.0] * 7 + [6.372319131631858e153])
+
+
 def ramp_fleet(eps):
     def make(tmp_path):
         good = simulate_fbm(0.7, 2048, 1).values
@@ -309,6 +321,10 @@ def ramp_fleet(eps):
         pytest.param(non_utf8_file, ["estimate"], 2, id="estimate-non-utf8"),
         pytest.param(tiny_file, ["test", "--hurst", "0.3"], 2, id="underflow"),
         pytest.param(mixed_offset_file, ["analyze"], 2, id="analyze-mixed-utc-offsets"),
+        pytest.param(scaled_draw_file(1e61), ["test", "--hurst", "0.3"], 2,
+                     id="overflow-statistics"),
+        pytest.param(lone_spike_file, ["test", "--hurst", "0.7"], 2, id="overflow-c"),
+        pytest.param(scaled_draw_file(1e200), ["estimate"], 2, id="overflow-mean-square"),
         pytest.param(ramp_fleet(1e-4), ["analyze"], 0, id="ramp-1e-4"),
         pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
     ],

@@ -6,7 +6,6 @@ from fbmpower.correlation import (
     build_correlation,
     dense_quadratic_form,
     increment_correlation,
-    asymptotic_correlation,
     quadratic_form_logdet,
 )
 from fbmpower.errors import IllConditionedError, InvalidSizeError
@@ -18,6 +17,11 @@ RHO_07_LAG2 = 0.1887525393272509  # 0.5 * (3**1.4 + 1 - 2 * 2**1.4)
 ASYM_07_LAG100 = 0.01766680564544541  # 0.28 * 100**-0.6
 ASYM_03_LAG100 = -0.00019018718309533368  # -0.12 * 100**-1.4
 QF_2X2 = 1.5157165665103982  # 2 / (1 + RHO_07_LAG1)
+
+
+def power_law(h, lag):
+    """Large-lag approximation H(2H-1) lag^(2H-2) of the correlation."""
+    return h * (2.0 * h - 1.0) * float(lag) ** (2.0 * h - 2.0)
 
 
 class TestIncrementCorrelation:
@@ -56,28 +60,24 @@ class TestIncrementCorrelation:
 
 class TestAsymptoticCorrelation:
     def test_vanishes_at_half(self):
-        assert asymptotic_correlation(0.5, 10) == 0.0
+        assert power_law(0.5, 10) == 0.0 == increment_correlation(0.5, 10)
 
     def test_persistent_decay(self):
-        assert asymptotic_correlation(0.7, 100) == pytest.approx(ASYM_07_LAG100, abs=1e-5)
+        assert increment_correlation(0.7, 100) == pytest.approx(ASYM_07_LAG100, abs=1e-5)
 
     def test_antipersistent_decay(self):
-        assert asymptotic_correlation(0.3, 100) == pytest.approx(ASYM_03_LAG100, abs=1e-6)
+        assert increment_correlation(0.3, 100) == pytest.approx(ASYM_03_LAG100, abs=1e-6)
 
     @pytest.mark.parametrize("h", [0.2, 0.7, 0.9])
     @pytest.mark.parametrize("lag", [50, 100, 500, 1000])
     def test_agrees_with_exact_form_at_large_lags(self, h, lag):
         exact = increment_correlation(h, lag)
-        approx = asymptotic_correlation(h, lag)
+        approx = power_law(h, lag)
         assert abs(exact - approx) / abs(approx) < 0.05
 
     def test_exact_zero_at_half_for_all_lags(self):
         for lag in range(1, 201):
             assert increment_correlation(0.5, lag) == 0.0
-
-    def test_lag_zero_rejected(self):
-        with pytest.raises(ValueError):
-            asymptotic_correlation(0.7, 0)
 
 
 class TestBuildCorrelation:
@@ -137,7 +137,7 @@ class TestToeplitzQuadraticForm:
         m = 2048
         corr = build_correlation(h, m)
         z = np.random.default_rng(int(h * 100)).standard_normal(m)
-        # _levinson has no jitter retry, so success means PD held.
+        # Every prediction variance stayed positive, so PD held.
         x, _ = _levinson(corr, z)
         assert np.all(np.isfinite(x))
         assert float(z @ x) > 0.0
@@ -151,10 +151,10 @@ class TestToeplitzQuadraticForm:
         with pytest.raises(IllConditionedError):
             quadratic_form_logdet(np.array([1.0, 2.0, 0.5]), np.ones(3))
 
-    def test_singular_matrix_rescued_by_jitter(self):
-        # [[1, 1], [1, 1]] fails the plain solve; the jitter retry succeeds.
-        value = quadratic_form_logdet(np.array([1.0, 1.0]), np.array([1.0, -1.0]))[0]
-        assert np.isfinite(value) and value >= 0.0
+    def test_singular_matrix_raises(self):
+        # [[1, 1], [1, 1]] has prediction variance 0 at order 1.
+        with pytest.raises(IllConditionedError, match="prediction variance 0.0 at order 1"):
+            quadratic_form_logdet(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
 
     def test_result_nonnegative(self):
         rng = np.random.default_rng(11)

@@ -214,13 +214,15 @@ BAD_SERIES = {
     "underflow": (np.random.default_rng(0).standard_normal(64) * 1e-170,
                   DegenerateSeriesError, "mean square"),
     "zeros": (np.zeros(64), DegenerateSeriesError, "mean square"),
+    # Every square overflows to inf, so the mean square is infinite.
+    "overflow": (np.random.default_rng(0).standard_normal(64) * 1e200,
+                 DegenerateSeriesError, "mean square"),
     "two_dim": (np.ones((8, 8)), InvalidSizeError, "1-D"),
 }
 
 ENTRY_POINTS = {
     "kurtosis_ratio": kurtosis_ratio,
     "fit_lambda": fit_lambda,
-    "q_statistic": lambda v: hu.q_statistic(v, 0.5),
     "estimate_hurst": hu.estimate_hurst,
     "test_hypothesis": lambda v: hyp.test_hypothesis(v, 0.7),
 }

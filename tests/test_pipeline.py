@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import time
 from datetime import datetime
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestLoadCsv:
         series, warnings = load_csv(path, gap_policy="interpolate-linear")
         assert np.array_equal(series[0].values, np.array(hours, dtype=float))
         assert warnings == ["b/P: interpolated 1 missing value(s)"]
+
+    def test_gap_policy_interpolate_ignores_host_time_zone(self, tmp_path, monkeypatch):
+        # 02:00 on 2024-03-10 does not exist in New York: read as local time
+        # it maps to the instant of 03:00, and the gap would fill with 27.0.
+        values = [24.0 + h for h in range(11)]
+        values[2] = ""
+        rows = [f"2024-03-10T{h:02d}:00:00,b,P,{v}" for h, v in enumerate(values)]
+        path = write_csv(tmp_path / "data.csv", rows)
+        filled = {}
+        try:
+            for tz in ("UTC", "America/New_York"):
+                monkeypatch.setenv("TZ", tz)
+                time.tzset()
+                filled[tz] = load_csv(path, gap_policy="interpolate-linear")[0][0].values[2]
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert filled == {"UTC": 26.0, "America/New_York": 26.0}
 
     def test_gap_policy_interpolate_all_missing_skipped(self, tmp_path):
         rows = hourly_rows("b", "P", [""] * 10)

@@ -261,11 +261,21 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
 
 
 def transform(y, lam: float) -> GaussianizedSeries:
-    """Apply z = sgn(y) |y|^lam; zero increments stay exactly zero."""
+    """Apply z = sgn(y) |y|^lam; zero increments stay exactly zero.
+
+    A finite value whose power leaves the float range raises
+    DegenerateSeriesError naming its index and lam.
+    """
     if not lam > 0.0:
         raise ValueError(f"exponent must be positive, got {lam!r}")
     vals = _values(y)
-    z = _power_signed(vals, float(lam))
+    with np.errstate(over="ignore"):
+        z = _power_signed(vals, float(lam))
+    bad = np.flatnonzero(np.isinf(z) & np.isfinite(vals))
+    if bad.size:
+        raise DegenerateSeriesError(
+            f"index {bad[0]}: |{float(vals[bad[0]])!r}|^lambda overflows at lambda = {lam!r}"
+        )
     if z.size >= MIN_INCREMENTS and np.any(z != 0.0):
         achieved = kurtosis_ratio(z)
     else:

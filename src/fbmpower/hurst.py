@@ -1,7 +1,8 @@
 """Hurst exponent estimation by grid search on the increment correlation.
 
-For a candidate exponent H, one Levinson pass over the Toeplitz correlation
-matrix S_H yields both the goodness-of-fit score
+For a candidate exponent H, one Durbin pass over the Toeplitz correlation
+matrix S_H and two FFT products (`quadratic_form_logdet`) yield both the
+goodness-of-fit score
 
     q = (constant / mean|z|) * sqrt(z' S_H^-1 z / (m - 1)),
 
@@ -51,7 +52,8 @@ class HurstEstimate:
 
 
 def _score(vals: np.ndarray, r1: float, h: float, q_constant: float) -> tuple[float, float]:
-    """(q score, profile objective) of one candidate exponent, one Levinson pass."""
+    """(q score, profile objective) of one candidate exponent, from one
+    `quadratic_form_logdet` call."""
     m = vals.size
     quad, logdet = quadratic_form_logdet(build_correlation(h, m), vals)
     return (q_constant / r1) * math.sqrt(quad / (m - 1)), math.log(quad / m) + logdet / m
@@ -72,8 +74,8 @@ def _make_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def _check_q_constant(q_constant: float) -> None:
     """The one home of the q-constant rule."""
-    if not q_constant > 0.0:
-        raise ConfigurationError(f"q constant must be positive, got {q_constant}")
+    if not 0.0 < q_constant < math.inf:
+        raise ConfigurationError(f"q constant must be finite and positive, got {q_constant}")
 
 
 def estimate_hurst(
@@ -93,7 +95,8 @@ def estimate_hurst(
     precision to subnormals at any scale the series check admits.  Identical
     inputs give identical estimates.  The input errors are those of the
     checked series (non-finite, too short, zero or infinite mean square);
-    bad grid bounds or a non-positive `q_constant` raise ConfigurationError.
+    bad grid bounds or a `q_constant` that is not finite and positive raise
+    ConfigurationError.
     """
     grid_h = _make_grid(grid_start, grid_stop, grid_step)
     _check_q_constant(q_constant)

@@ -152,8 +152,8 @@ def _check_settings(alpha: float, beta0: float = DEFAULT_BETA0) -> None:
     """The one home of the alpha and beta0 rules."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    if not beta0 > 0.0:
-        raise ConfigurationError(f"beta0 must be positive, got {beta0}")
+    if not 0.0 < beta0 < math.inf:
+        raise ConfigurationError(f"beta0 must be finite and positive, got {beta0}")
 
 
 def thresholds(
@@ -226,11 +226,12 @@ def test_hypothesis(
 
     Computes c, the partial sums, the branch statistics and thresholds, and
     the verdict.  Raises ConfigurationError for h_hat outside (0, 1), alpha
-    outside (0, 1) or a non-positive beta0, and the input errors of the
-    checked series (non-finite, too short, zero or infinite mean square).
-    A DegenerateSeriesError marks a series whose statistics leave the float
-    range: a mean square c for which c^2.5 under- or overflows (beta1 and
-    stat_B scale with it), or any statistic or threshold that is not finite.
+    outside (0, 1) or a beta0 that is not finite and positive, and the input
+    errors of the checked series (non-finite, too short, zero or infinite
+    mean square).  A DegenerateSeriesError marks a series whose statistics
+    leave the float range: a mean square c for which c^2.5 under- or
+    overflows (beta1 and stat_B scale with it), or any statistic or threshold
+    that is not finite.
     """
     check_hurst(h_hat)
     _check_settings(alpha, beta0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime
@@ -304,7 +305,10 @@ def _apply_gap_policy(stamps, values, gap_policy) -> tuple[np.ndarray, str]:
     interior = keep & ~present
     if interior.any():
         times = np.array([(t - stamps[0]).total_seconds() for t in stamps])
-        values[interior] = np.interp(times[interior], times[present], values[present])
+        # Interpolating halves is exact and keeps the slope between values
+        # near the float limits finite.
+        halves = np.interp(times[interior], times[present], values[present] / 2.0)
+        values[interior] = 2.0 * halves
     note = f"interpolated {int(interior.sum())} missing value(s)"
     edge_gaps = values.size - int(keep.sum())
     if edge_gaps:
@@ -319,6 +323,9 @@ def normalize(values) -> np.ndarray:
     hi = float(values.max())
     if hi == lo:
         raise DegenerateSeriesError("constant series cannot be normalized")
+    if hi - lo == math.inf:
+        # Halving is exact and brings a span past the float range back in.
+        values, lo, hi = values / 2.0, lo / 2.0, hi / 2.0
     return (values - lo) / (hi - lo)
 
 

@@ -297,6 +297,13 @@ def lone_spike_file(tmp_path):
     return write_increments(tmp_path / "spike.csv", [0.0] * 7 + [6.372319131631858e153])
 
 
+def huge_file(tmp_path):
+    # Magnitudes uniform in [0.5, 1) x 1e100 fit lambda = 4.93, whose power overflows.
+    rng = np.random.default_rng(0)
+    values = rng.uniform(0.5, 1.0, 32) * 1e100 * rng.choice([-1.0, 1.0], 32)
+    return write_increments(tmp_path / "huge.csv", values)
+
+
 def ramp_fleet(eps):
     def make(tmp_path):
         good = simulate_fbm(0.7, 2048, 1).values
@@ -311,6 +318,11 @@ def ramp_fleet(eps):
         pytest.param(normal_file, ["gaussianize", "--max-iter", "0"], 3, id="max-iter"),
         pytest.param(normal_file, ["estimate", "--q-constant", "-1"], 3, id="q-constant"),
         pytest.param(normal_file, ["test", "--hurst", "0.3", "--beta0", "-1"], 3, id="beta0"),
+        pytest.param(normal_file, ["estimate", "--q-constant", "inf"], 3, id="q-constant-inf"),
+        pytest.param(normal_file, ["test", "--hurst", "0.3", "--beta0", "inf"], 3,
+                     id="beta0-inf"),
+        pytest.param(analysis_csv, ["analyze", "--q-constant", "inf"], 3,
+                     id="analyze-q-constant-inf"),
         pytest.param(normal_file, ["test", "--hurst", "0.3", "--alpha", "2", "--paper-constants"],
                      3, id="alpha-paper-constants"),
         pytest.param(None, ["simulate", "--hurst", "0.5", "--n", "8", "--seed", "-1"], 3,
@@ -325,6 +337,7 @@ def ramp_fleet(eps):
                      id="overflow-statistics"),
         pytest.param(lone_spike_file, ["test", "--hurst", "0.7"], 2, id="overflow-c"),
         pytest.param(scaled_draw_file(1e200), ["estimate"], 2, id="overflow-mean-square"),
+        pytest.param(huge_file, ["gaussianize"], 2, id="overflow-transform"),
         pytest.param(ramp_fleet(1e-4), ["analyze"], 0, id="ramp-1e-4"),
         pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
     ],

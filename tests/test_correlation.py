@@ -156,6 +156,20 @@ class TestToeplitzQuadraticForm:
         with pytest.raises(IllConditionedError, match="prediction variance 0.0 at order 1"):
             quadratic_form_logdet(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "h", np.round(np.arange(0.05, 0.96, 0.05), 2).tolist() + [0.99, 0.999, 0.9999]
+    )
+    @pytest.mark.parametrize("m", [2, 3, 17, 2048])
+    def test_matches_levinson_oracle(self, h, m):
+        # Durbin repeats Levinson's variance steps, so logdet keeps its bits;
+        # the Gohberg-Semencul difference loses a little as H -> 1.
+        corr = build_correlation(h, m)
+        z = np.random.default_rng(m + int(1e4 * h)).standard_normal(m)
+        quad, logdet = quadratic_form_logdet(corr, z)
+        x, expected_logdet = _levinson(corr, z)
+        assert quad == pytest.approx(float(z @ x), rel=1e-11)
+        assert logdet == expected_logdet
+
     def test_result_nonnegative(self):
         rng = np.random.default_rng(11)
         corr = build_correlation(0.9, 64)

@@ -187,6 +187,10 @@ class TestTransform:
         z = transform(np.array([0.0, 1.0, -1.0, 0.0]), 0.7).values
         assert z[0] == 0.0 and z[3] == 0.0
 
+    def test_overflow_names_its_index_and_exponent(self):
+        with pytest.raises(DegenerateSeriesError, match=r"index 1: \|-1e\+200\|\^lambda .* 2\.0"):
+            transform(np.array([1.0, -1e200, 1e300]), 2.0)
+
     def test_subnormal_magnitudes_flushed_to_zero(self):
         z = transform(np.array([1e-310, 1.0, -1e-320]), 2.0).values
         assert z[0] == 0.0 and z[2] == 0.0

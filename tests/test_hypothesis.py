@@ -174,7 +174,9 @@ class TestTestHypothesis:
         with pytest.raises(ValueError):
             hyp.test_hypothesis(np.ones(16), 1.0)
 
-    @pytest.mark.parametrize("kwargs", [dict(beta0=-1.0), dict(alpha=2.0, paper_constants=True)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(beta0=-1.0), dict(alpha=2.0, paper_constants=True), dict(beta0=math.inf)]
+    )
     def test_bad_settings_rejected(self, kwargs):
         z = np.random.default_rng(3).standard_normal(64)
         with pytest.raises(ConfigurationError):
@@ -228,13 +230,14 @@ class TestTestHypothesis:
         assert stats.beta1 == pytest.approx(expected, rel=1e-12)
 
     def test_type_one_error_of_stat_b_near_alpha(self):
-        # With the deviation check disabled, the |stat_B| < beta1 rule alone
-        # should reject true fBm at roughly the significance level.
+        # With the deviation check disabled (beta0 is the largest float, and
+        # delta is finite), the |stat_B| < beta1 rule alone should reject
+        # true fBm at roughly the significance level.
         rejections = 0
         n_seeds = 200
         for s in range(n_seeds):
             z = standardized_increments(0.3, 8192, 50_000 + s)
-            stats = hyp.test_hypothesis(z, 0.3, beta0=float("inf"))
+            stats = hyp.test_hypothesis(z, 0.3, beta0=float(np.finfo(float).max))
             rejections += stats.verdict == "rejected"
         assert rejections / n_seeds == pytest.approx(0.1, abs=0.05)
 

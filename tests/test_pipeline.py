@@ -53,6 +53,9 @@ class TestNormalize:
         with pytest.raises(DegenerateSeriesError):
             normalize([5.0, 5.0, 5.0])
 
+    def test_span_past_float_range(self):
+        assert np.array_equal(normalize([-1.5e308, 0.0, 1.5e308]), [0.0, 0.5, 1.0])
+
 
 class TestDetrend:
     def test_exact_line_gives_zero_residuals(self):
@@ -244,6 +247,13 @@ class TestLoadCsv:
             time.tzset()
         assert filled == {"UTC": 26.0, "America/New_York": 26.0}
 
+    def test_gap_policy_interpolate_between_float_limits(self, tmp_path):
+        # The slope from -1.5e308 to 1.5e308 overflows unless halved first.
+        values = ["-1.5e308", "", "1.5e308"] + [float(h) for h in range(3, 12)]
+        rows = [f"2024-01-01T{h:02d}:00:00,b,P,{v}" for h, v in enumerate(values)]
+        path = write_csv(tmp_path / "data.csv", rows)
+        assert load_csv(path, gap_policy="interpolate-linear")[0][0].values[1] == 0.0
+
     def test_gap_policy_interpolate_all_missing_skipped(self, tmp_path):
         rows = hourly_rows("b", "P", [""] * 10)
         path = write_csv(tmp_path / "data.csv", rows)
@@ -297,6 +307,8 @@ class TestAnalysisConfig:
             dict(ratio_tol=0.0),
             dict(gap_policy="ffill"),
             dict(q_constant=0.0),
+            dict(q_constant=float("inf")),
+            dict(beta0=float("inf")),
         ],
     )
     def test_bad_values_rejected(self, kwargs):

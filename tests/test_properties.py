@@ -1,7 +1,10 @@
-"""Property tests: any short series of finite floats ends in a documented
-exit code, with no traceback, no numpy warning and no NaN or Infinity."""
+"""Property tests: any short series of finite floats, and any bytes given to
+`analyze`, end in a documented exit code, with no traceback, no numpy
+warning and no NaN or Infinity."""
 
+import json
 import re
+from datetime import datetime, timedelta
 
 import pytest
 from click.testing import CliRunner
@@ -39,3 +42,58 @@ def test_finite_series_end_in_a_documented_exit(tmp_path_factory, command, value
     )
     assert result.exit_code in codes
     assert not NON_FINITE.search(result.stdout)
+
+
+START = datetime(2024, 1, 1)
+HEADER = b"timestamp,building,quantity,value\n"
+BAD_STAMPS = ["2024-02-30T00:00:00", "noon", ""]
+
+# A gap (blank or non-finite) or a finite value, as a CSV cell.
+value_cells = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+)
+# One building's rows: hourly steps of 1 or 2 hours, each with a value cell.
+building_rows = st.lists(st.tuples(st.integers(1, 2), value_cells), max_size=30)
+
+
+@st.composite
+def csv_files(draw):
+    lines = []
+    for building in ("a", "b"):
+        stamp = START
+        for step, value in draw(building_rows):
+            stamp += timedelta(hours=step)
+            lines.append(f"{stamp.isoformat()},{building},P,{value}")
+    if draw(st.booleans()):
+        bad = f"{draw(st.sampled_from(BAD_STAMPS))},a,P,{draw(value_cells)}"
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return HEADER + "".join(line + "\n" for line in lines).encode()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.one_of(st.binary(max_size=200), csv_files()),
+    gap_policy=st.sampled_from(["drop", "interpolate-linear"]),
+    fmt=st.sampled_from(["json", "csv", "md"]),
+)
+def test_any_bytes_given_to_analyze_end_in_a_documented_exit(tmp_path_factory, data,
+                                                              gap_policy, fmt):
+    path = tmp_path_factory.getbasetemp() / "analyze.csv"
+    path.write_bytes(data)
+    result = CliRunner().invoke(
+        main, ["analyze", "--input", str(path), "--gap-policy", gap_policy, "--format", fmt]
+    )
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        result.exception
+    )
+    assert result.exit_code in {0, 2, 3}
+    assert sum(line.startswith("error:") for line in result.stderr.splitlines()) <= 1
+    assert "Traceback" not in result.output
+    if result.exit_code == 0 and fmt == "json":
+        json.loads(result.stdout, parse_constant=_reject_constant)

@@ -95,7 +95,6 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
         return u, 1.0, float(np.log(diag))
 
     y = u[1:]
-    step = np.empty(n - 1)
     y[0] = alpha = -lags[0]
     beta = 1.0
     logdet = 0.0
@@ -110,10 +109,9 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
         if k < n - 1:
             reversed_y = y[k - 1 :: -1]
             alpha = -(lags[k] + float(np.dot(r[:k], reversed_y))) / beta
-            # y aliases its own reversal, so the update goes through `scaled`.
-            scaled = step[:k]
-            np.multiply(reversed_y, alpha, out=scaled)
-            y[:k] += scaled
+            # The product is a new array, so adding it in place is safe
+            # although y aliases its own reversal.
+            y[:k] += alpha * reversed_y
             y[k] = alpha
     return u, beta, float(logdet + n * np.log(diag))
 
@@ -143,6 +141,7 @@ def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]
     shifted[1:] = u[:0:-1]
     spectra = np.fft.rfft(np.stack([u, shifted]), size)
     head, tail = np.fft.irfft(np.fft.rfft(z, size) * spectra.conj(), size)[:, :n]
+    # u = g * beta * row[0], so the scale of u and 1/g_0 leave one division.
     quad = (np.dot(head, head) - np.dot(tail, tail)) / (beta * row[0])
     return max(float(quad), 0.0), logdet
 

@@ -68,17 +68,42 @@ def _write_text(text: str, out) -> None:
             handle.write(text)
 
 
-def _config_options(command):
-    options = [
-        click.option("--grid-start", type=float, default=hu.GRID_START, show_default=True),
-        click.option("--grid-stop", type=float, default=hu.GRID_STOP, show_default=True),
-        click.option("--grid-step", type=float, default=hu.GRID_STEP, show_default=True),
-        click.option("--q-constant", type=float, default=hu.DEFAULT_Q_CONSTANT,
-                      show_default="sqrt(2/pi)"),
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
+def _options(*options):
+    """One decorator applying `options` in the order listed."""
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+    return decorate
+
+
+def _input(help_text):
+    return click.option("--input", "input_path", required=True,
+                        type=click.Path(exists=True, dir_okay=False), help=help_text)
+
+
+_increments_input = _input("CSV of increment values, one per line.")
+_out = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                    help="Output file (default: stdout).")
+_ratio_tol = click.option("--ratio-tol", type=float, default=gz.DEFAULT_RATIO_TOL,
+                          show_default=True,
+                          help="Tolerance on the Gaussian ratio when fitting lambda, "
+                               "in (0, 2/pi).")
+_grid_options = _options(
+    click.option("--grid-start", type=float, default=hu.GRID_START, show_default=True),
+    click.option("--grid-stop", type=float, default=hu.GRID_STOP, show_default=True),
+    click.option("--grid-step", type=float, default=hu.GRID_STEP, show_default=True),
+    click.option("--q-constant", type=float, default=hu.DEFAULT_Q_CONSTANT,
+                 show_default="sqrt(2/pi)"),
+)
+_test_options = _options(
+    click.option("--alpha", type=float, default=hyp.DEFAULT_ALPHA, show_default=True),
+    click.option("--beta0", type=float, default=hyp.DEFAULT_BETA0, show_default=True),
+    click.option("--paper-constants", is_flag=True,
+                 help="Use the rounded threshold coefficients 4.95/4.08."),
+    click.option("--require-delta-on-persistent", is_flag=True,
+                 help="Require the stat_A deviation check on the persistent branch too."),
+)
 
 
 class _ErrorExitGroup(click.Group):
@@ -100,25 +125,17 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Long-format CSV: timestamp,building,quantity,value.")
+@_input("Long-format CSV: timestamp,building,quantity,value.")
 @click.option("--quantity", type=click.Choice(["P", "S", "both"]), default="both",
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(list(pipeline.REPORT_FORMATS)),
               default="json", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output file (default: stdout).")
-@_config_options
-@click.option("--alpha", type=float, default=hyp.DEFAULT_ALPHA, show_default=True)
-@click.option("--beta0", type=float, default=hyp.DEFAULT_BETA0, show_default=True)
-@click.option("--paper-constants", is_flag=True,
-              help="Use the rounded threshold coefficients 4.95/4.08.")
-@click.option("--ratio-tol", type=float, default=1e-3, show_default=True)
+@_out
+@_grid_options
+@_test_options
+@_ratio_tol
 @click.option("--gap-policy", type=click.Choice(list(pipeline.GAP_POLICIES)),
-              default="drop", show_default=True)
-@click.option("--require-delta-on-persistent", is_flag=True,
-              help="Require the stat_A deviation check on the persistent branch too.")
+              default=pipeline.DEFAULT_GAP_POLICY, show_default=True)
 def analyze(input_path, quantity, fmt, out, **settings) -> None:
     """Run the full persistence analysis on every series in a CSV."""
     config = pipeline.AnalysisConfig(**settings)
@@ -141,8 +158,7 @@ def analyze(input_path, quantity, fmt, out, **settings) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--method", type=click.Choice(["circulant", "cholesky"]),
               default="circulant", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Output CSV (default: stdout).")
+@_out
 def simulate(hurst, n, seed, method, out) -> None:
     """Generate one fBm path and write it as two-column CSV (t, value)."""
     path = simulate_fbm(hurst, n, seed, method)
@@ -152,16 +168,13 @@ def simulate(hurst, n, seed, method, out) -> None:
 
 
 @main.command()
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="CSV of increment values, one per line.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--ratio-tol", type=float, default=1e-3, show_default=True)
-@click.option("--max-iter", type=int, default=100, show_default=True)
-def gaussianize(input_path, out, ratio_tol, max_iter) -> None:
+@_increments_input
+@_out
+@_ratio_tol
+def gaussianize(input_path, out, ratio_tol) -> None:
     """Fit the power-transform exponent and write the transformed series."""
     values = _read_values(input_path)
-    lam = gz.fit_lambda(values, tol=ratio_tol, max_iter=max_iter)
+    lam = gz.fit_lambda(values, tol=ratio_tol)
     series = gz.transform(values, lam)
     lines = [
         f"# lambda = {float(series.lam)!r}",
@@ -174,11 +187,9 @@ def gaussianize(input_path, out, ratio_tol, max_iter) -> None:
 
 
 @main.command()
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="CSV of (gaussianized) increment values, one per line.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_config_options
+@_increments_input
+@_out
+@_grid_options
 def estimate(input_path, out, **settings) -> None:
     """Estimate the Hurst exponent of an increment series; JSON out."""
     values = _read_values(input_path)
@@ -188,28 +199,14 @@ def estimate(input_path, out, **settings) -> None:
 
 
 @main.command(name="test")
-@click.option("--input", "input_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="CSV of (gaussianized) increment values, one per line.")
+@_increments_input
 @click.option("--hurst", type=float, required=True,
               help="Hurst exponent to test at, typically from `estimate`.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--alpha", type=float, default=hyp.DEFAULT_ALPHA, show_default=True)
-@click.option("--beta0", type=float, default=hyp.DEFAULT_BETA0, show_default=True)
-@click.option("--paper-constants", is_flag=True)
-@click.option("--require-delta-on-persistent", is_flag=True)
-def hypothesis_test(input_path, hurst, out, alpha, beta0, paper_constants,
-                    require_delta_on_persistent) -> None:
+@_out
+@_test_options
+def hypothesis_test(input_path, hurst, out, **settings) -> None:
     """Test whether an increment series behaves as fBm increments; JSON out."""
-    values = _read_values(input_path)
-    stats = hyp.test_hypothesis(
-        values,
-        hurst,
-        beta0=beta0,
-        alpha=alpha,
-        paper_constants=paper_constants,
-        require_delta_on_persistent=require_delta_on_persistent,
-    )
+    stats = hyp.test_hypothesis(_read_values(input_path), hurst, **settings)
     doc = {"schema_version": pipeline.SCHEMA_VERSION, **asdict(stats)}
     _write_text(json.dumps(doc, indent=2) + "\n", out)
 

@@ -29,6 +29,7 @@ from .errors import (
 __all__ = [
     "GAUSSIAN_RATIO",
     "MIN_INCREMENTS",
+    "DEFAULT_RATIO_TOL",
     "IncrementSeries",
     "GaussianizedSeries",
     "increments",
@@ -44,6 +45,9 @@ GAUSSIAN_RATIO = 2.0 / math.pi
 # Fewer increments than this and none of the downstream statistics mean much.
 MIN_INCREMENTS = 8
 
+# Default tolerance on |d - 2/pi| when fitting the exponent.
+DEFAULT_RATIO_TOL = 1e-3
+
 # Search window for the transform exponent.
 LAMBDA_MIN = 0.05
 LAMBDA_MAX = 20.0
@@ -57,40 +61,21 @@ THEORETICAL_LAMBDA_CAP = 40.0
 
 @dataclass(frozen=True)
 class IncrementSeries:
-    """First differences y_k of an observed series.
-
-    Statistics downstream require m >= MIN_INCREMENTS; the algebraic
-    transform operations accept any length.
-    """
+    """First differences y_k of an observed series, built by `increments`."""
 
     values: np.ndarray
     m: int
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.m or self.m < 1:
-            raise ValueError("values must be one-dimensional with length m >= 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("increments must be finite")
-        object.__setattr__(self, "values", values)
-
 
 @dataclass(frozen=True)
 class GaussianizedSeries:
-    """Transformed increments z_k with the fitted exponent and achieved ratio."""
+    """Transformed increments z_k with the fitted exponent and achieved
+    ratio, built by `transform`."""
 
     values: np.ndarray
     lam: float
     achieved_ratio: float
     m: int
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.m:
-            raise ValueError("values must be one-dimensional with length m")
-        if not self.lam > 0.0:
-            raise ValueError(f"exponent must be positive, got {self.lam!r}")
-        object.__setattr__(self, "values", values)
 
 
 def _values(series) -> np.ndarray:
@@ -123,13 +108,17 @@ def _checked_values(series) -> np.ndarray:
 
 
 def increments(x) -> IncrementSeries:
-    """First differences of a series of at least 9 points."""
+    """First differences of a 1-D series of at least 9 points; a difference
+    that is not finite is an InputFormatError naming its index."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < MIN_INCREMENTS + 1:
         raise InvalidSizeError(
-            f"need at least {MIN_INCREMENTS + 1} observations, got {x.size}"
+            f"need at least {MIN_INCREMENTS + 1} observations in 1-D, got shape {x.shape}"
         )
     diffs = np.diff(x)
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if bad.size:
+        raise InputFormatError(f"index {bad[0]}: non-finite increment {float(diffs[bad[0]])}")
     return IncrementSeries(values=diffs, m=diffs.size)
 
 
@@ -195,24 +184,27 @@ def _initial_guess(raw_ratio: float) -> float:
 
 
 def _check_ratio_tol(tol: float) -> None:
-    """The one home of the ratio-tolerance rule."""
-    if not tol > 0.0:
-        raise ConfigurationError(f"ratio tolerance must be positive, got {tol}")
+    """The one home of the ratio-tolerance rule.
+
+    Every ratio lies in (0, 1], within 2/pi of the target, so a tolerance
+    of 2/pi or more would accept any series untransformed.
+    """
+    if not 0.0 < tol < GAUSSIAN_RATIO:
+        raise ConfigurationError(f"ratio tolerance must lie in (0, 2/pi), got {tol}")
 
 
-def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
+def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
     """Fit the transform exponent so the ratio of z = sgn(y)|y|^lam hits 2/pi.
 
     Returns 1.0 immediately when the raw series is already within `tol` of
     the Gaussian ratio.  Otherwise brackets the root around an initial guess
-    from the theoretical ratio curve and bisects; if no exponent in
-    [0.05, 20] brackets the target the series cannot be Gaussianized by a
-    power transform and UnfittableSeriesError is raised.  A non-positive
-    `tol` or `max_iter` is a ConfigurationError.
+    from the theoretical ratio curve and bisects until a midpoint is within
+    `tol`.  UnfittableSeriesError is raised if no exponent in [0.05, 20]
+    brackets the target (no power transform Gaussianizes the series), or if
+    the bracket shrinks to adjacent floats first.  A `tol` outside (0, 2/pi)
+    is a ConfigurationError.
     """
     _check_ratio_tol(tol)
-    if max_iter < 1:
-        raise ConfigurationError(f"max iterations must be >= 1, got {max_iter}")
     vals = _checked_values(y)
     raw_ratio = kurtosis_ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
@@ -246,22 +238,24 @@ def fit_lambda(y, tol: float = 1e-3, max_iter: int = 100) -> float:
             )
     lo, hi = sorted((lam0, lam))
 
-    for _ in range(max_iter):
+    while True:
         mid = 0.5 * (lo + hi)
         f_mid = deviation(mid)
         if abs(f_mid) <= tol:
             return mid
+        if not lo < mid < hi:
+            raise UnfittableSeriesError(
+                f"bisection stalled at lambda = {mid!r} before reaching ratio tolerance {tol}"
+            )
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    raise UnfittableSeriesError(
-        f"bisection did not reach ratio tolerance {tol} in {max_iter} steps"
-    )
 
 
 def transform(y, lam: float) -> GaussianizedSeries:
-    """Apply z = sgn(y) |y|^lam; zero increments stay exactly zero.
+    """Apply z = sgn(y) |y|^lam to a 1-D series; zero increments stay
+    exactly zero.  A non-positive lam is a ValueError.
 
     A finite value whose power leaves the float range raises
     DegenerateSeriesError naming its index and lam.
@@ -269,6 +263,8 @@ def transform(y, lam: float) -> GaussianizedSeries:
     if not lam > 0.0:
         raise ValueError(f"exponent must be positive, got {lam!r}")
     vals = _values(y)
+    if vals.ndim != 1:
+        raise InvalidSizeError(f"need a 1-D series, got shape {vals.shape}")
     with np.errstate(over="ignore"):
         z = _power_signed(vals, float(lam))
     bad = np.flatnonzero(np.isinf(z) & np.isfinite(vals))

@@ -112,23 +112,25 @@ def partial_sums(z) -> np.ndarray:
     return out
 
 
-def stat_A(z, v) -> float:
-    """mean(v * z^3): first-order weighted cubic variation."""
+def _paired(z, v) -> tuple[np.ndarray, np.ndarray]:
+    """z and its partial sums v as float arrays of one length."""
     vals = _values(z)
     v = np.asarray(v, dtype=float)
     if v.size != vals.size:
         raise ValueError("z and v must have equal length")
+    return vals, v
+
+
+def stat_A(z, v) -> float:
+    """mean(v * z^3): first-order weighted cubic variation."""
+    vals, v = _paired(z, v)
     return float(np.mean(v * vals**3))
 
 
 def stat_B(z, v, h: float) -> float:
     """m^-(1+H) * sum(v^2 * z^3): second-order weighted cubic variation."""
-    vals = _values(z)
-    v = np.asarray(v, dtype=float)
-    if v.size != vals.size:
-        raise ValueError("z and v must have equal length")
-    m = vals.size
-    return float(m ** -(1.0 + h) * np.sum(v * v * vals**3))
+    vals, v = _paired(z, v)
+    return float(vals.size ** -(1.0 + h) * np.sum(v * v * vals**3))
 
 
 def stat_D(z, v, h: float) -> float:
@@ -140,12 +142,8 @@ def stat_D(z, v, h: float) -> float:
     has the (3/2) c^2 G^2 limit law; the bias and the remainder vanish like
     m^(1-2H) and m^(1/2-H).
     """
-    vals = _values(z)
-    v = np.asarray(v, dtype=float)
-    if v.size != vals.size:
-        raise ValueError("z and v must have equal length")
-    m = vals.size
-    return float(m ** (-2.0 * h) * np.sum(v * vals**3))
+    vals, v = _paired(z, v)
+    return float(vals.size ** (-2.0 * h) * np.sum(v * vals**3))
 
 
 def _check_settings(alpha: float, beta0: float = DEFAULT_BETA0) -> None:
@@ -243,22 +241,16 @@ def test_hypothesis(
             raise DegenerateSeriesError(
                 f"mean square {c:.3g} is out of range: c^2.5 under- or overflows"
             )
+        beta1, beta2 = thresholds(c, h_hat, alpha, paper_constants)
         a_n = stat_A(vals, v)
         if h_hat <= 0.5:
-            branch = ANTIPERSISTENT_BRANCH
-            b_n: float | None = stat_B(vals, v, h_hat)
-            d_n: float | None = None
+            branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, stat_B(vals, v, h_hat), None, None
         else:
-            branch = PERSISTENT_BRANCH
-            b_n = None
-            d_n = stat_D(vals, v, h_hat)
+            branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, stat_D(vals, v, h_hat), None
     a_limit = -1.5 * c * c
     delta = abs(a_n - a_limit) / abs(a_limit)
     sigma = (2.0 * h_hat + 2.0) ** -0.5
-    beta1, beta2 = thresholds(c, h_hat, alpha, paper_constants)
-    beta1_out = beta1 if b_n is not None else None
-    beta2_out = beta2 if d_n is not None else None
-    computed = (a_n, delta, b_n, d_n, beta1_out, beta2_out)
+    computed = (a_n, delta, b_n, d_n, beta1, beta2)
     if not all(math.isfinite(x) for x in computed if x is not None):
         raise DegenerateSeriesError(
             f"mean square {c:.3g}: the statistics overflow the float range"
@@ -269,9 +261,9 @@ def test_hypothesis(
         delta,
         beta0,
         b_n=b_n,
-        beta1=beta1_out,
+        beta1=beta1,
         d_n_stat=d_n,
-        beta2=beta2_out,
+        beta2=beta2,
         require_delta_on_persistent=require_delta_on_persistent,
     )
     return HypothesisStats(
@@ -285,8 +277,8 @@ def test_hypothesis(
         b_n=b_n,
         d_n_stat=d_n,
         beta0=beta0,
-        beta1=beta1_out,
-        beta2=beta2_out,
+        beta1=beta1,
+        beta2=beta2,
         alpha=alpha,
         verdict=verdict,
     )

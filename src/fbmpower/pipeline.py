@@ -55,6 +55,7 @@ ZERO_FRACTION_WARNING = 0.5
 CSV_COLUMNS = ("timestamp", "building", "quantity", "value")
 QUANTITIES = ("P", "S")
 GAP_POLICIES = ("drop", "interpolate-linear")
+DEFAULT_GAP_POLICY = "drop"
 REPORT_FORMATS = ("json", "csv", "md")
 
 
@@ -71,14 +72,16 @@ class RawSeries:
         values = np.asarray(self.values, dtype=float)
         if self.quantity not in QUANTITIES:
             raise ValueError(f"quantity must be one of {QUANTITIES}, got {self.quantity!r}")
-        if values.size != len(self.timestamps):
-            raise ValueError("timestamps and values must have equal length")
+        if values.ndim != 1 or values.size != len(self.timestamps):
+            raise ValueError("values must be one-dimensional, one per timestamp")
         if values.size < MIN_SERIES_LENGTH:
             raise InvalidSizeError(
                 f"series needs at least {MIN_SERIES_LENGTH} observations, got {values.size}"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+        if len({t.utcoffset() is None for t in self.timestamps}) > 1:
+            raise ValueError("timestamps must be all naive or all carry a UTC offset")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
             if not a < b:
                 raise ValueError(f"timestamps must be strictly increasing; saw {a} then {b}")
@@ -101,8 +104,8 @@ class AnalysisConfig:
     beta0: float = hyp.DEFAULT_BETA0
     q_constant: float = hu.DEFAULT_Q_CONSTANT
     paper_constants: bool = False
-    ratio_tol: float = 1e-3
-    gap_policy: str = "drop"
+    ratio_tol: float = gz.DEFAULT_RATIO_TOL
+    gap_policy: str = DEFAULT_GAP_POLICY
     require_delta_on_persistent: bool = False
 
     def __post_init__(self) -> None:
@@ -149,7 +152,7 @@ class BuildingReport:
 _REPORT_KEYS = {"lam": "lambda"}
 
 
-def load_csv(path, gap_policy: str = "drop") -> tuple[list[RawSeries], list[str]]:
+def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries], list[str]]:
     """Parse a long-format CSV into per-(building, quantity) series.
 
     Rows with a blank or non-finite value are gaps: dropped under the
@@ -159,19 +162,25 @@ def load_csv(path, gap_policy: str = "drop") -> tuple[list[RawSeries], list[str]
     series sorted by (building, quantity) plus human-readable warnings.
 
     Raises InputFormatError, with the offending line number, on a missing
-    or wrong header, an unparsable row, or a duplicate timestamp.
+    or wrong header, an unparsable row (a field over the csv module's size
+    limit among them), or a duplicate timestamp.  A UTF-8 byte-order mark is
+    skipped.
     """
     _check_gap_policy(gap_policy)
     with _open_utf8(path, newline="") as handle:
-        return _parse_long_csv(handle, gap_policy)
+        reader = csv.reader(handle)
+        try:
+            return _parse_long_csv(reader, gap_policy)
+        except csv.Error as exc:
+            raise InputFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 @contextmanager
 def _open_utf8(path, newline=None):
-    """Open a UTF-8 text file; reading a byte that is not UTF-8 raises
-    InputFormatError naming its line."""
+    """Open a UTF-8 text file, skipping a byte-order mark; reading a byte that
+    is not UTF-8 raises InputFormatError naming its line."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as handle:
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError:
         with open(path, "rb") as handle:
@@ -190,8 +199,7 @@ def _check_gap_policy(gap_policy: str) -> None:
         raise ConfigurationError(f"gap policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
 
 
-def _parse_long_csv(handle, gap_policy: str) -> tuple[list[RawSeries], list[str]]:
-    reader = csv.reader(handle)
+def _parse_long_csv(reader, gap_policy: str) -> tuple[list[RawSeries], list[str]]:
     try:
         header = next(reader)
     except StopIteration:

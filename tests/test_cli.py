@@ -180,6 +180,39 @@ def test_non_finite_input_exits_two(runner, tmp_path, args):
     assert result.stderr == "error: line 11: non-finite value nan\n"
 
 
+def with_byte_order_mark(path):
+    marked = path.with_name("bom-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return str(marked)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("args", [["gaussianize"], ["estimate"], ["test", "--hurst", "0.3"]])
+    def test_value_file(self, runner, tmp_path, args):
+        # A lost first value would change m and every statistic.
+        plain = write_increments(tmp_path / "z.csv", np.random.default_rng(3).laplace(size=64))
+        marked = with_byte_order_mark(tmp_path / "z.csv")
+        expected = invoke(runner, args[0], "--input", plain, *args[1:]).output
+        assert invoke(runner, args[0], "--input", marked, *args[1:]).output == expected
+
+    def test_analyze_csv(self, runner, tmp_path):
+        plain = analysis_csv(tmp_path)
+        expected = invoke(runner, "analyze", "--input", plain).output
+        marked = with_byte_order_mark(tmp_path / "buildings.csv")
+        result = invoke(runner, "analyze", "--input", marked)
+        assert result.exit_code == 0
+        assert result.output == expected
+
+
+def test_field_over_csv_limit_exits_two(runner, tmp_path):
+    src = tmp_path / "long.csv"
+    src.write_text("timestamp,building,quantity,value\n"
+                   f"2024-01-01T00:00:00,b,P,{'1' * 131_073}\n", encoding="utf-8")
+    result = runner.invoke(main, ["analyze", "--input", str(src)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: line 2: field larger than field limit (131072)\n"
+
+
 class TestAnalyzeCommand:
     def test_json_output(self, runner, tmp_path):
         src = analysis_csv(tmp_path)
@@ -315,7 +348,9 @@ def ramp_fleet(eps):
     "make_input, args, code",
     [
         pytest.param(normal_file, ["gaussianize", "--ratio-tol", "-1"], 3, id="ratio-tol"),
-        pytest.param(normal_file, ["gaussianize", "--max-iter", "0"], 3, id="max-iter"),
+        pytest.param(normal_file, ["gaussianize", "--ratio-tol", "inf"], 3, id="ratio-tol-inf"),
+        pytest.param(analysis_csv, ["analyze", "--ratio-tol", "1e9"], 3,
+                     id="analyze-ratio-tol-1e9"),
         pytest.param(normal_file, ["estimate", "--q-constant", "-1"], 3, id="q-constant"),
         pytest.param(normal_file, ["test", "--hurst", "0.3", "--beta0", "-1"], 3, id="beta0"),
         pytest.param(normal_file, ["estimate", "--q-constant", "inf"], 3, id="q-constant-inf"),

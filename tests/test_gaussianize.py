@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestIncrements:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSizeError):
             increments(np.arange(8))
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(InvalidSizeError, match="1-D"):
+            increments(np.ones((4, 4)))
+
+    def test_non_finite_difference_named(self):
+        x = np.arange(12.0)
+        x[4] = np.inf
+        with pytest.raises(InputFormatError, match="index 3: non-finite increment inf"):
+            increments(x)
 
 
 class TestKurtosisRatio:
@@ -138,11 +150,25 @@ class TestFitLambda:
         with pytest.raises(InvalidSizeError):
             fit_lambda(np.ones(4))
 
-    @pytest.mark.parametrize("kwargs", [dict(tol=-1.0), dict(max_iter=0)])
+    @pytest.mark.parametrize(
+        "kwargs", [dict(tol=-1.0), dict(tol=math.inf), dict(tol=GAUSSIAN_RATIO), dict(tol=1e9)]
+    )
     def test_bad_settings_rejected(self, kwargs):
         y = np.random.default_rng(3).standard_normal(64)
         with pytest.raises(ConfigurationError):
             fit_lambda(y, **kwargs)
+
+    def test_tolerance_just_under_the_gaussian_ratio_accepted(self):
+        y = np.random.default_rng(3).laplace(size=64)
+        assert fit_lambda(y, tol=np.nextafter(GAUSSIAN_RATIO, 0.0)) == 1.0
+
+    def test_stalled_bisection_unfittable(self):
+        # No float exponent brings this sample's ratio within 1e-300 of 2/pi
+        # (for some samples one hits it exactly), so the bracket shrinks to
+        # adjacent floats and the fit gives up there.
+        y = np.random.default_rng(0).standard_normal(64)
+        with pytest.raises(UnfittableSeriesError, match="bisection stalled at lambda = "):
+            fit_lambda(y, tol=1e-300)
 
     def test_monotone_ratio_in_exponent(self):
         rng = np.random.default_rng(5)
@@ -173,8 +199,12 @@ class TestTransform:
         assert np.array_equal(z.values, [4.0, -4.0])
 
     def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exponent must be positive"):
             transform(np.ones(8), 0.0)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(InvalidSizeError, match="1-D"):
+            transform(np.ones((2, 2)), 1.0)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.7])
     def test_preserves_signs_and_order(self, lam):

@@ -64,8 +64,10 @@ class TestWeightedVariationStats:
         assert hyp.stat_D(z, hyp.partial_sums(z), 0.7) == 0.0
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hyp.stat_A(np.ones(4), np.ones(3))
+        for stat in (hyp.stat_A, lambda z, v: hyp.stat_B(z, v, 0.3),
+                     lambda z, v: hyp.stat_D(z, v, 0.7)):
+            with pytest.raises(ValueError, match="equal length"):
+                stat(np.ones(4), np.ones(3))
 
     def test_stat_a_converges_to_limit(self):
         vals = []

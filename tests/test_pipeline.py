@@ -2,7 +2,7 @@ import importlib
 import json
 import pkgutil
 import time
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -103,6 +103,17 @@ class TestRawSeries:
     def test_rejects_nonincreasing_timestamps(self):
         stamps = tuple([datetime(2024, 1, 1)] * 9)
         with pytest.raises(ValueError):
+            RawSeries("b", "P", stamps, np.arange(9.0))
+
+    def test_rejects_two_dimensional_values(self):
+        stamps = tuple(datetime(2024, 1, 1, k) for k in range(16))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            RawSeries("b", "P", stamps, np.arange(16.0).reshape(4, 4))
+
+    def test_rejects_naive_and_aware_timestamps(self):
+        stamps = tuple(datetime(2024, 1, 1, k, tzinfo=timezone.utc if k % 2 else None)
+                       for k in range(9))
+        with pytest.raises(ValueError, match="naive"):
             RawSeries("b", "P", stamps, np.arange(9.0))
 
 
@@ -309,6 +320,7 @@ class TestAnalysisConfig:
             dict(q_constant=0.0),
             dict(q_constant=float("inf")),
             dict(beta0=float("inf")),
+            dict(ratio_tol=float("inf")),
         ],
     )
     def test_bad_values_rejected(self, kwargs):

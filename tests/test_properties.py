@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from fbmpower.cli import main
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # Arguments of each command and the exit codes it may end with.
 COMMANDS = {
@@ -72,6 +72,12 @@ def csv_files(draw):
     return HEADER + "".join(line + "\n" for line in lines).encode()
 
 
+BYTE_ORDER_MARK = b"\xef\xbb\xbf"
+HOURLY_ROWS = b"".join(
+    f"{(START + timedelta(hours=k)).isoformat()},a,P,{k * k % 7}\n".encode() for k in range(12)
+)
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
 
@@ -82,6 +88,11 @@ def _reject_constant(name):
     gap_policy=st.sampled_from(["drop", "interpolate-linear"]),
     fmt=st.sampled_from(["json", "csv", "md"]),
 )
+# A value field past the csv module's 131072-character limit, and a file
+# that starts with a UTF-8 byte-order mark.
+@example(data=HEADER + b"2024-01-01T00:00:00,a,P," + b"1" * 131_073 + b"\n",
+         gap_policy="drop", fmt="json")
+@example(data=BYTE_ORDER_MARK + HEADER + HOURLY_ROWS, gap_policy="drop", fmt="json")
 def test_any_bytes_given_to_analyze_end_in_a_documented_exit(tmp_path_factory, data,
                                                               gap_policy, fmt):
     path = tmp_path_factory.getbasetemp() / "analyze.csv"

@@ -12,7 +12,7 @@ from .errors import (
     InvalidSizeError,
     UnfittableSeriesError,
 )
-from .gaussianize import GaussianizedSeries, IncrementSeries, fit_lambda, increments, transform
+from .gaussianize import IncrementSeries, fit_lambda, increments, transform
 from .hurst import HurstEstimate, estimate_hurst
 from .hypothesis import Classification, HypothesisStats, classify, test_hypothesis
 from .pipeline import AnalysisConfig, BuildingReport, RawSeries, analyze, load_csv, render_report
@@ -29,7 +29,6 @@ __all__ = [
     "ConfigurationError",
     "DegenerateSeriesError",
     "FbmPath",
-    "GaussianizedSeries",
     "HurstEstimate",
     "HypothesisStats",
     "IllConditionedError",

@@ -37,9 +37,11 @@ EXIT_CODES = ((UnfittableSeriesError, 1), (ConfigurationError, 3), (AnalysisErro
 def _read_values(path) -> np.ndarray:
     """Read one value per line from a CSV; the last field of each row is
     used, so two-column (t, value) files from `simulate` work unchanged.
-    A single non-numeric first row is treated as a header; a `nan` or `inf`
-    is an InputFormatError naming its line."""
+    Blank rows and `#` comments are skipped, and the first other row is
+    taken as a header when it is not numeric, so `gaussianize` output reads
+    back in; a `nan` or `inf` is an InputFormatError naming its line."""
     values = []
+    header_allowed = True
     with pipeline._open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -49,9 +51,11 @@ def _read_values(path) -> np.ndarray:
             try:
                 value = float(cell)
             except ValueError:
-                if lineno == 1:
-                    continue  # header row
+                if header_allowed:
+                    header_allowed = False
+                    continue
                 raise InputFormatError(f"line {lineno}: unparsable value {cell!r}") from None
+            header_allowed = False
             if not np.isfinite(value):
                 raise InputFormatError(f"line {lineno}: non-finite value {value}")
             values.append(value)
@@ -61,11 +65,16 @@ def _read_values(path) -> np.ndarray:
 
 
 def _write_text(text: str, out) -> None:
+    """Write to `out`, or stdout; a file that cannot be written is an
+    InputFormatError naming its path."""
     if out is None or out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _options(*options):
@@ -156,12 +165,10 @@ def analyze(input_path, quantity, fmt, out, **settings) -> None:
 @click.option("--hurst", type=float, required=True, help="Hurst exponent in (0, 1).")
 @click.option("--n", type=int, required=True, help="Number of grid steps.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--method", type=click.Choice(["circulant", "cholesky"]),
-              default="circulant", show_default=True)
 @_out
-def simulate(hurst, n, seed, method, out) -> None:
+def simulate(hurst, n, seed, out) -> None:
     """Generate one fBm path and write it as two-column CSV (t, value)."""
-    path = simulate_fbm(hurst, n, seed, method)
+    path = simulate_fbm(hurst, n, seed)
     lines = ["t,value"]
     lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(path.times, path.values))
     _write_text("\n".join(lines) + "\n", out)
@@ -175,14 +182,14 @@ def gaussianize(input_path, out, ratio_tol) -> None:
     """Fit the power-transform exponent and write the transformed series."""
     values = _read_values(input_path)
     lam = gz.fit_lambda(values, tol=ratio_tol)
-    series = gz.transform(values, lam)
+    z = gz.transform(values, lam)
     lines = [
-        f"# lambda = {float(series.lam)!r}",
-        f"# achieved_ratio = {float(series.achieved_ratio)!r}",
-        f"# m = {series.m}",
+        f"# lambda = {lam!r}",
+        f"# achieved_ratio = {gz.kurtosis_ratio(z)!r}",
+        f"# m = {z.size}",
         "value",
     ]
-    lines.extend(repr(float(v)) for v in series.values)
+    lines.extend(repr(float(v)) for v in z)
     _write_text("\n".join(lines) + "\n", out)
 
 

@@ -31,8 +31,9 @@ class CirculantEmbeddingError(AnalysisError):
 
 
 class InputFormatError(AnalysisError, ValueError):
-    """Input cannot be parsed or holds a non-finite value; the message names
-    the line of a file or the index of an array."""
+    """Input cannot be parsed or holds a non-finite value, or an output file
+    cannot be written; the message names the line of a file, the index of an
+    array or the path."""
 
 
 class ConfigurationError(AnalysisError, ValueError):

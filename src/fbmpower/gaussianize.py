@@ -31,7 +31,6 @@ __all__ = [
     "MIN_INCREMENTS",
     "DEFAULT_RATIO_TOL",
     "IncrementSeries",
-    "GaussianizedSeries",
     "increments",
     "kurtosis_ratio",
     "gaussian_ratio_theoretical",
@@ -64,18 +63,6 @@ class IncrementSeries:
     """First differences y_k of an observed series, built by `increments`."""
 
     values: np.ndarray
-    m: int
-
-
-@dataclass(frozen=True)
-class GaussianizedSeries:
-    """Transformed increments z_k with the fitted exponent and achieved
-    ratio, built by `transform`."""
-
-    values: np.ndarray
-    lam: float
-    achieved_ratio: float
-    m: int
 
 
 def _values(series) -> np.ndarray:
@@ -119,15 +106,20 @@ def increments(x) -> IncrementSeries:
     bad = np.flatnonzero(~np.isfinite(diffs))
     if bad.size:
         raise InputFormatError(f"index {bad[0]}: non-finite increment {float(diffs[bad[0]])}")
-    return IncrementSeries(values=diffs, m=diffs.size)
+    return IncrementSeries(values=diffs)
+
+
+def _ratio(vals: np.ndarray) -> float:
+    """(mean |v|)^2 / mean v^2 of an array whose mean square is positive
+    and finite."""
+    mean_sq = float(np.mean(vals * vals))
+    mean_abs = float(np.mean(np.abs(vals)))
+    return mean_abs * mean_abs / mean_sq
 
 
 def kurtosis_ratio(v) -> float:
     """(mean |v|)^2 / mean v^2; equals 2/pi for Gaussian samples."""
-    vals = _checked_values(v)
-    mean_sq = float(np.mean(vals * vals))
-    mean_abs = float(np.mean(np.abs(vals)))
-    return mean_abs * mean_abs / mean_sq
+    return _ratio(_checked_values(v))
 
 
 def gaussian_ratio_theoretical(lam: float) -> float:
@@ -153,16 +145,6 @@ def _power_signed(values: np.ndarray, lam: float) -> np.ndarray:
     out = np.sign(values) * np.power(mags, lam)
     out[mags < TINY_MAGNITUDE] = 0.0
     return out
-
-
-def _ratio_of_powers(scaled_mags: np.ndarray, lam: float) -> float:
-    """kurtosis ratio of |y|^lam given magnitudes pre-scaled into [0, 1]."""
-    p = np.power(scaled_mags, lam)
-    mean_sq = float(np.mean(p * p))
-    if mean_sq == 0.0:
-        return 0.0
-    mean_abs = float(np.mean(p))
-    return mean_abs * mean_abs / mean_sq
 
 
 def _initial_guess(raw_ratio: float) -> float:
@@ -199,24 +181,26 @@ def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
     Returns 1.0 immediately when the raw series is already within `tol` of
     the Gaussian ratio.  Otherwise brackets the root around an initial guess
     from the theoretical ratio curve and bisects until a midpoint is within
-    `tol`.  UnfittableSeriesError is raised if no exponent in [0.05, 20]
-    brackets the target (no power transform Gaussianizes the series), or if
-    the bracket shrinks to adjacent floats first.  A `tol` outside (0, 2/pi)
-    is a ConfigurationError.
+    `tol`, or until the bracket shrinks to adjacent floats, where the last
+    midpoint is the closest exponent float arithmetic reaches.
+    UnfittableSeriesError is raised if no exponent in [0.05, 20] brackets the
+    target: no power transform Gaussianizes the series.  A `tol` outside
+    (0, 2/pi) is a ConfigurationError.
     """
     _check_ratio_tol(tol)
     vals = _checked_values(y)
-    raw_ratio = kurtosis_ratio(vals)
+    raw_ratio = _ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
         return 1.0
 
     # The ratio is invariant under scaling, so normalize magnitudes to [0, 1]
-    # before exponentiating; |y|^20 then cannot overflow.
+    # before exponentiating; |y|^20 then cannot overflow.  The largest entry
+    # stays exactly 1, so the mean square of every power is at least 1/m.
     mags = np.abs(vals)
     scaled = mags / mags.max()
 
     def deviation(lam: float) -> float:
-        return _ratio_of_powers(scaled, lam) - GAUSSIAN_RATIO
+        return _ratio(np.power(scaled, lam)) - GAUSSIAN_RATIO
 
     lam0 = _initial_guess(raw_ratio)
     f0 = deviation(lam0)
@@ -241,19 +225,15 @@ def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
     while True:
         mid = 0.5 * (lo + hi)
         f_mid = deviation(mid)
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= tol or not lo < mid < hi:
             return mid
-        if not lo < mid < hi:
-            raise UnfittableSeriesError(
-                f"bisection stalled at lambda = {mid!r} before reaching ratio tolerance {tol}"
-            )
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
 
 
-def transform(y, lam: float) -> GaussianizedSeries:
+def transform(y, lam: float) -> np.ndarray:
     """Apply z = sgn(y) |y|^lam to a 1-D series; zero increments stay
     exactly zero.  A non-positive lam is a ValueError.
 
@@ -272,8 +252,4 @@ def transform(y, lam: float) -> GaussianizedSeries:
         raise DegenerateSeriesError(
             f"index {bad[0]}: |{float(vals[bad[0]])!r}|^lambda overflows at lambda = {lam!r}"
         )
-    if z.size >= MIN_INCREMENTS and np.any(z != 0.0):
-        achieved = kurtosis_ratio(z)
-    else:
-        achieved = float("nan")
-    return GaussianizedSeries(values=z, lam=float(lam), achieved_ratio=achieved, m=z.size)
+    return z

@@ -388,13 +388,14 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
         return BuildingReport(
             building_id=series.building_id,
             quantity=series.quantity,
-            m=incs.m,
+            m=incs.values.size,
             verdict="rejected",
             warnings=tuple(warnings),
         )
 
     try:
         z = gz.transform(incs, lam)
+        achieved_ratio = gz.kurtosis_ratio(z)
         estimate = hu.estimate_hurst(
             z,
             grid_start=config.grid_start,
@@ -415,7 +416,7 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
         return BuildingReport(
             building_id=series.building_id,
             quantity=series.quantity,
-            m=incs.m,
+            m=incs.values.size,
             lam=lam,
             warnings=tuple(warnings),
         )
@@ -423,9 +424,9 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
     return BuildingReport(
         building_id=series.building_id,
         quantity=series.quantity,
-        m=z.m,
-        lam=z.lam,
-        achieved_ratio=z.achieved_ratio,
+        m=z.size,
+        lam=lam,
+        achieved_ratio=achieved_ratio,
         h_hat=estimate.h_hat,
         q_at_hat=estimate.q_at_hat,
         c=stats.c,
@@ -467,6 +468,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
+
+
+def _md_cell(text: str) -> str:
+    """A markdown cell with `|` escaped and line breaks made spaces, so a
+    building id from the input file cannot add columns or rows."""
+    return " ".join(text.replace("|", "\\|").splitlines())
 
 
 def render_report(reports, fmt: str = "json") -> str:
@@ -520,5 +527,5 @@ def render_report(reports, fmt: str = "json") -> str:
         "| " + " | ".join("---" for _ in columns) + " |",
     ]
     for report in ordered:
-        lines.append("| " + " | ".join(getter(report) for _, getter in columns) + " |")
+        lines.append("| " + " | ".join(_md_cell(getter(report)) for _, getter in columns) + " |")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ covariance 0.5 (t^2H + s^2H - |t-s|^2H).  Two exact generators are provided:
 * ``circulant`` - circulant embedding of the correlation row with FFT
   synthesis, O(n log n) (Davies & Harte 1987; Dieker 2004); the default;
 * ``cholesky`` - dense factorization of the increment correlation matrix,
-  O(n^2) memory and O(n^3) time, kept as an independent cross-check.
+  O(n^2) memory and O(n^3) time, kept only as a test oracle for the default.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64), so a given
 (seed, method, n, H) quadruple always reproduces the same path bit for bit.
@@ -54,7 +54,7 @@ def _fgn_cholesky(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance correlated Gaussian increments via dense Cholesky."""
     try:
         chol = np.linalg.cholesky(_dense_toeplitz(_correlation_row(h, n)))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - PD for all H
+    except np.linalg.LinAlgError as exc:  # rounding, as H nears 1
         raise IllConditionedError(f"correlation matrix factorization failed: {exc}") from exc
     return chol @ rng.standard_normal(n)
 
@@ -63,7 +63,9 @@ def _fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance correlated Gaussian increments via circulant embedding.
 
     The correlation row is embedded in a circulant of size 2n whose
-    eigenvalues are provably nonnegative for fBm increments; synthesis
+    eigenvalues are nonnegative for fBm increments in exact arithmetic;
+    rounding in the row makes some materially negative as H nears 1 (for
+    example H = 0.99 at n = 524288, H = 0.999999 at n = 16384).  Synthesis
     draws one Hermitian-symmetric complex spectrum and inverse-transforms.
     """
     row = _correlation_row(h, n)
@@ -73,7 +75,7 @@ def _fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     if worst < EIGENVALUE_TOLERANCE:
         raise CirculantEmbeddingError(
             f"circulant embedding eigenvalue {worst:.3e} < {EIGENVALUE_TOLERANCE:.0e} "
-            f"(H={h}, n={n}); use method='cholesky'"
+            f"(H={h}, n={n})"
         )
     eig = np.clip(eig, 0.0, None)
 
@@ -103,15 +105,17 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
         Seed (>= 0) for the PCG64 generator; same inputs give identical output.
     method : {"circulant", "cholesky"}
         "circulant" (FFT, the default) or "cholesky" (dense, O(n^3)); both
-        are exact, and "cholesky" is kept to cross-check the default.
+        are exact, and "cholesky" is kept only as a test oracle.
 
     Raises
     ------
     ConfigurationError
         If h, n, seed or method is outside the ranges above.
     CirculantEmbeddingError
-        If the embedding has a materially negative eigenvalue (does not
-        happen for fBm increments; callers may fall back to cholesky).
+        If the embedding has a materially negative eigenvalue, which
+        rounding in the correlation row causes as H nears 1 and n grows.
+        "cholesky" is no way out: at H = 1 - 1e-9, n = 1024 the dense
+        factorization fails too, with IllConditionedError.
     """
     h = check_hurst(h)
     n = int(n)

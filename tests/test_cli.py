@@ -1,4 +1,5 @@
 import json
+import os
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -39,8 +40,7 @@ def analysis_csv(tmp_path, n=256):
 class TestSimulateCommand:
     def test_writes_path_csv(self, runner, tmp_path):
         out = tmp_path / "path.csv"
-        result = invoke(runner, "simulate", "--hurst", 0.7, "--n", 64, "--seed", 3,
-                        "--method", "cholesky", "--out", out)
+        result = invoke(runner, "simulate", "--hurst", 0.7, "--n", 64, "--seed", 3, "--out", out)
         assert result.exit_code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,value"
@@ -55,8 +55,7 @@ class TestSimulateCommand:
 
     def test_matches_library(self, runner, tmp_path):
         out = tmp_path / "path.csv"
-        invoke(runner, "simulate", "--hurst", 0.6, "--n", 16, "--seed", 5,
-               "--method", "circulant", "--out", out)
+        invoke(runner, "simulate", "--hurst", 0.6, "--n", 16, "--seed", 5, "--out", out)
         values = [float(line.split(",")[1]) for line in
                   out.read_text().strip().splitlines()[1:]]
         expected = simulate_fbm(0.6, 16, 5, "circulant").values
@@ -110,6 +109,20 @@ class TestGaussianizeCommand:
         result = runner.invoke(main, ["gaussianize", "--input", str(src)])
         assert result.exit_code == 2
         assert "line 3" in result.stderr
+
+    @pytest.mark.parametrize("args", [["estimate"], ["test", "--hurst", "0.7"]])
+    def test_output_reads_back(self, runner, tmp_path, args):
+        # gaussianize writes three `#` lines and then its `value` header; the
+        # reader skips the comments and takes `value` as the header.
+        xi = np.random.default_rng(41).standard_normal(256)
+        src = write_increments(tmp_path / "incs.csv", np.sign(xi) * xi**2)
+        out = tmp_path / "z.csv"
+        invoke(runner, "gaussianize", "--input", src, "--out", out)
+        z = [float(line) for line in out.read_text().splitlines()[4:]]
+        plain = write_increments(tmp_path / "plain.csv", z)
+        result = invoke(runner, args[0], "--input", out, *args[1:])
+        assert result.exit_code == 0
+        assert result.output == invoke(runner, args[0], "--input", plain, *args[1:]).output
 
 
 class TestEstimateCommand:
@@ -337,6 +350,16 @@ def huge_file(tmp_path):
     return write_increments(tmp_path / "huge.csv", values)
 
 
+# The null device is not a directory, so no file can be opened below it.
+UNWRITABLE = os.path.join(os.devnull, "x.out")
+
+
+def vanishing_file(tmp_path):
+    # Square-root data fit lambda = 2.14, whose powers of 1e-152 all flush to zero.
+    xi = np.random.default_rng(12).standard_normal(64)
+    return write_increments(tmp_path / "vanishing.csv", np.sign(xi) * np.abs(xi) ** 0.5 * 1e-152)
+
+
 def ramp_fleet(eps):
     def make(tmp_path):
         good = simulate_fbm(0.7, 2048, 1).values
@@ -373,6 +396,11 @@ def ramp_fleet(eps):
         pytest.param(lone_spike_file, ["test", "--hurst", "0.7"], 2, id="overflow-c"),
         pytest.param(scaled_draw_file(1e200), ["estimate"], 2, id="overflow-mean-square"),
         pytest.param(huge_file, ["gaussianize"], 2, id="overflow-transform"),
+        pytest.param(vanishing_file, ["gaussianize"], 2, id="underflow-transform"),
+        pytest.param(analysis_csv, ["analyze", "--out", UNWRITABLE], 2,
+                     id="analyze-unwritable-out"),
+        pytest.param(None, ["simulate", "--hurst", "0.5", "--n", "8", "--out", UNWRITABLE], 2,
+                     id="simulate-unwritable-out"),
         pytest.param(ramp_fleet(1e-4), ["analyze"], 0, id="ramp-1e-4"),
         pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
     ],

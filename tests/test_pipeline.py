@@ -2,12 +2,14 @@ import importlib
 import json
 import pkgutil
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 import fbmpower
+import fbmpower.gaussianize as gz
 from fbmpower.errors import (
     ConfigurationError,
     DegenerateSeriesError,
@@ -349,6 +351,24 @@ class TestAnalyze:
             assert report.forecastable is True
             assert report.memory_class == "long"
 
+    def test_reports_ratio_of_the_transformed_increments(self, make_series):
+        path = simulate_fbm(0.3, 1024, 104, "circulant")
+        series = make_series(path.values)
+        report = analyze(series)
+        incs = gz.increments(detrend(normalize(series.values)))
+        z = gz.transform(incs, report.lam)
+        assert report.lam == gz.fit_lambda(incs)
+        assert report.achieved_ratio == gz.kurtosis_ratio(z)
+        assert abs(report.achieved_ratio - gz.GAUSSIAN_RATIO) <= gz.DEFAULT_RATIO_TOL
+
+    def test_tolerance_below_float_reach_still_fits(self, make_series):
+        # At 1e-300 the bisection stalls at adjacent floats; that is a fit,
+        # not a series that no power transform Gaussianizes.
+        path = simulate_fbm(0.3, 256, 0, "circulant")
+        report = analyze(make_series(path.values), AnalysisConfig(ratio_tol=1e-300))
+        assert report.lam is not None and report.verdict is not None
+        assert not any("non-Gaussianizable" in w for w in report.warnings)
+
     def test_constant_series_warning_only(self, make_series):
         report = analyze(make_series(np.full(64, 7.0)))
         assert report.verdict is None
@@ -424,6 +444,15 @@ class TestRenderReport:
         assert lines[0].startswith("| building | quantity | H | A_n | B_n | D_n | A |")
         assert "| bank |" in lines[2] and "accepted" in lines[2]
         assert "| theater |" in lines[3] and "rejected" in lines[3]
+
+    @pytest.mark.parametrize("building", ["A|B", "two\nlines", "cr\r\nlf"])
+    def test_markdown_cells_keep_the_column_count(self, building):
+        report = replace(self.reports()[0], building_id=building)
+        lines = render_report([report], "md").splitlines()
+        assert len(lines) == 3
+        cells = lines[2].replace("\\|", "").count("|")
+        assert cells == lines[0].count("|") == 12
+        assert lines[2].startswith("| " + " ".join(building.replace("|", "\\|").split()) + " |")
 
     def test_csv_flattens_fields(self):
         lines = render_report(self.reports(), "csv").strip().splitlines()

@@ -12,8 +12,8 @@ The quadratic form z' S^-1 z and logdet S come from Durbin's recursion, which
 gives the first column g of S^-1 and the prediction variances in O(m^2) (Golub
 & Van Loan, "Matrix Computations", alg. 4.7.1), and the Gohberg-Semencul
 formula, which writes S^-1 through g so that z' S^-1 z is two FFT products.
-The Levinson recursion (alg. 4.7.3) and a dense Cholesky path are kept as
-independent cross-checks.
+The test oracles, a Levinson solve (alg. 4.7.3) and a dense Cholesky solve,
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "increment_correlation",
     "build_correlation",
     "quadratic_form_logdet",
-    "dense_quadratic_form",
 ]
 
 
@@ -76,12 +75,17 @@ def build_correlation(h: float, m: int) -> np.ndarray:
 
 
 def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Durbin recursion: (u, beta, logdet T) with T u = beta * row[0] * e_1.
+    """Durbin recursion: (generators, beta, logdet T) with T u = beta * row[0] * e_1.
 
     u = [1, y] holds the order-(n-1) Yule-Walker solution y, so it is the
     first column of T^-1 scaled to a leading 1, and beta is the last
-    prediction-error variance of T / row[0].  The steps are the y-half of
-    `_levinson`, so logdet and every IllConditionedError match it bit for bit.
+    prediction-error variance of T / row[0].  The generators are the rows
+    u and [0, y reversed], the two Gohberg-Semencul vectors.
+
+    The loop keeps y reversed in the second row, y[k-1::-1] == w[n-1-k:],
+    so each step's dot reads two forward slices and copies nothing; it pairs
+    the same products in the same order as a dot with y reversed, so every
+    alpha, beta and IllConditionedError keeps its bits.
     """
     n = row.size
     diag = row[0]
@@ -89,15 +93,15 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
         raise IllConditionedError(f"non-positive diagonal {float(diag)!r}")
     r = row[1:] / diag  # normalized off-diagonal lags
     lags = r.tolist()  # Python floats: the same arithmetic, less overhead
-    u = np.zeros(n)
-    u[0] = 1.0
+    generators = np.zeros((2, n))
+    generators[0, 0] = 1.0
     if n == 1:
-        return u, 1.0, float(np.log(diag))
+        return generators, 1.0, float(np.log(diag))
 
-    y = u[1:]
-    y[0] = alpha = -lags[0]
+    w = generators[1, 1:]
+    w[-1] = alpha = -lags[0]
     beta = 1.0
-    logdet = 0.0
+    betas = []
     for k in range(1, n):
         beta = (1.0 - alpha * alpha) * beta
         if not 0.0 < beta < math.inf:
@@ -105,15 +109,19 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
                 f"prediction variance {beta!r} at order {k}: "
                 "matrix is not positive definite"
             )
-        logdet += np.log(beta)
+        betas.append(beta)
         if k < n - 1:
-            reversed_y = y[k - 1 :: -1]
-            alpha = -(lags[k] + float(np.dot(r[:k], reversed_y))) / beta
+            rev = w[n - 1 - k :]
+            alpha = -(lags[k] + float(r[:k].dot(rev))) / beta
             # The product is a new array, so adding it in place is safe
-            # although y aliases its own reversal.
-            y[:k] += alpha * reversed_y
-            y[k] = alpha
-    return u, beta, float(logdet + n * np.log(diag))
+            # although rev aliases its own reversal.
+            rev += alpha * rev[::-1]
+            w[n - 2 - k] = alpha
+    generators[0, 1:] = w[::-1]
+    # add.accumulate sums left to right, as one running sum; np.sum's pairwise
+    # order would move logdet's last bits.
+    logdet = np.add.accumulate(np.log(betas))[-1]
+    return generators, beta, float(logdet + n * np.log(diag))
 
 
 def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]:
@@ -134,75 +142,17 @@ def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]
     z = np.asarray(z, dtype=float)
     if z.size != row.size:
         raise ValueError(f"z length {z.size} does not match correlation size {row.size}")
-    u, beta, logdet = _durbin(row)
+    generators, beta, logdet = _durbin(row)
     n = row.size
     size = 1 << (2 * n - 1).bit_length()
-    shifted = np.zeros(n)
-    shifted[1:] = u[:0:-1]
-    spectra = np.fft.rfft(np.stack([u, shifted]), size)
+    spectra = np.fft.rfft(generators, size)
     head, tail = np.fft.irfft(np.fft.rfft(z, size) * spectra.conj(), size)[:, :n]
     # u = g * beta * row[0], so the scale of u and 1/g_0 leave one division.
     quad = (np.dot(head, head) - np.dot(tail, tail)) / (beta * row[0])
     return max(float(quad), 0.0), logdet
 
 
-def _levinson(row: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Levinson recursion: returns (solution of T x = b, logdet T).
-
-    Test oracle only: the production solve is `quadratic_form_logdet`.
-
-    The recursion tracks the prediction-error variance, whose running
-    product is the determinant; a non-positive value means the leading
-    minors are not all positive, i.e. the matrix is not numerically
-    positive definite, and IllConditionedError is raised.
-    """
-    n = row.size
-    diag = row[0]
-    if not np.isfinite(diag) or diag <= 0.0:
-        raise IllConditionedError(f"non-positive diagonal {float(diag)!r}")
-    if n == 1:
-        return b / diag, float(np.log(diag))
-    r = row[1:] / diag  # normalized off-diagonal lags
-
-    x = np.zeros(n)
-    y = np.zeros(n - 1)
-    x[0] = b[0]
-    y[0] = -r[0]
-    alpha = -r[0]
-    beta = 1.0
-    logdet = 0.0
-    for k in range(1, n):
-        beta = (1.0 - alpha * alpha) * beta
-        if not np.isfinite(beta) or beta <= 0.0:
-            raise IllConditionedError(
-                f"prediction variance {float(beta)!r} at order {k}: "
-                "matrix is not positive definite"
-            )
-        logdet += np.log(beta)
-        mu = (b[k] - np.dot(r[:k], x[k - 1 :: -1])) / beta
-        x[:k] += mu * y[k - 1 :: -1]
-        x[k] = mu
-        if k < n - 1:
-            alpha = -(r[k] + np.dot(r[:k], y[k - 1 :: -1])) / beta
-            # y aliases its own reversal, so the update cannot be in place.
-            y[:k] = y[:k] + alpha * y[k - 1 :: -1]
-            y[k] = alpha
-    return x / diag, float(logdet + n * np.log(diag))
-
-
 def _dense_toeplitz(row: np.ndarray) -> np.ndarray:
     """The symmetric Toeplitz matrix whose first row is `row`."""
     idx = np.abs(np.arange(row.size)[:, None] - np.arange(row.size)[None, :])
     return row[idx]
-
-
-def dense_quadratic_form(row: np.ndarray, z: np.ndarray) -> float:
-    """Same quadratic form via dense Cholesky, O(m^3); cross-check path only."""
-    row = np.asarray(row, dtype=float)
-    z = np.asarray(z, dtype=float)
-    try:
-        chol = np.linalg.cholesky(_dense_toeplitz(row))
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(str(exc)) from exc
-    w = np.linalg.solve(chol, z)
-    return float(np.dot(w, w))

@@ -223,39 +223,34 @@ def test_hypothesis(
     """Run the full fBm-increment hypothesis test at the estimated exponent.
 
     Computes c, the partial sums, the branch statistics and thresholds, and
-    the verdict.  Raises ConfigurationError for h_hat outside (0, 1), alpha
+    the verdict.  The verdict is homogeneous in the scale of z, so it is
+    decided on z times the power of two that brings max|z| into [0.5, 1),
+    as in `estimate_hurst`: there no statistic leaves the float range, and
+    the rescale is exact.  The statistics and thresholds are reported at the
+    input's scale, scaled back by the same power of two; one that underflows
+    there reads 0.  Raises ConfigurationError for h_hat outside (0, 1), alpha
     outside (0, 1) or a beta0 that is not finite and positive, and the input
     errors of the checked series (non-finite, too short, zero or infinite
-    mean square).  A DegenerateSeriesError marks a series whose statistics
-    leave the float range: a mean square c for which c^2.5 under- or
-    overflows (beta1 and stat_B scale with it), or any statistic or threshold
-    that is not finite.
+    mean square).  A DegenerateSeriesError marks a series whose reported
+    statistics or thresholds overflow.
     """
     check_hurst(h_hat)
     _check_settings(alpha, beta0)
     vals = _checked_values(z)
     c = float(np.mean(vals * vals))
-    v = partial_sums(vals)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.finfo(float).tiny <= np.float64(c) ** 2.5 < math.inf:
-            raise DegenerateSeriesError(
-                f"mean square {c:.3g} is out of range: c^2.5 under- or overflows"
-            )
-        beta1, beta2 = thresholds(c, h_hat, alpha, paper_constants)
-        a_n = stat_A(vals, v)
-        if h_hat <= 0.5:
-            branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, stat_B(vals, v, h_hat), None, None
-        else:
-            branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, stat_D(vals, v, h_hat), None
-    a_limit = -1.5 * c * c
+    exponent = int(np.frexp(np.max(np.abs(vals)))[1])
+    scaled = np.ldexp(vals, -exponent)
+    c_scaled = float(np.mean(scaled * scaled))
+    v = partial_sums(scaled)
+    beta1, beta2 = thresholds(c_scaled, h_hat, alpha, paper_constants)
+    a_n = stat_A(scaled, v)
+    if h_hat <= 0.5:
+        branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, stat_B(scaled, v, h_hat), None, None
+    else:
+        branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, stat_D(scaled, v, h_hat), None
+    a_limit = -1.5 * c_scaled * c_scaled
     delta = abs(a_n - a_limit) / abs(a_limit)
     sigma = (2.0 * h_hat + 2.0) ** -0.5
-    computed = (a_n, delta, b_n, d_n, beta1, beta2)
-    if not all(math.isfinite(x) for x in computed if x is not None):
-        raise DegenerateSeriesError(
-            f"mean square {c:.3g}: the statistics overflow the float range"
-        )
-
     verdict = verdict_from_stats(
         h_hat,
         delta,
@@ -266,6 +261,20 @@ def test_hypothesis(
         beta2=beta2,
         require_delta_on_persistent=require_delta_on_persistent,
     )
+
+    def rescaled(x: float | None, degree: int) -> float | None:
+        """A statistic homogeneous of this degree in z, at the input's scale."""
+        if x is None:
+            return None
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(x, degree * exponent))
+
+    a_n, a_limit, d_n, beta2 = (rescaled(x, 4) for x in (a_n, a_limit, d_n, beta2))
+    b_n, beta1 = rescaled(b_n, 5), rescaled(beta1, 5)
+    if not all(math.isfinite(x) for x in (a_n, a_limit, b_n, d_n, beta1, beta2) if x is not None):
+        raise DegenerateSeriesError(
+            f"mean square {c:.3g}: the statistics overflow the float range"
+        )
     return HypothesisStats(
         c=c,
         a_n=a_n,

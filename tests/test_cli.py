@@ -325,10 +325,11 @@ def mixed_offset_file(tmp_path):
     return str(path)
 
 
-def tiny_file(tmp_path):
-    # Unit-variance increments whose mean square c is so small that c^2.5 underflows.
-    z = _fgn_circulant(0.3, 1024, np.random.default_rng(3)) * 1e-100
-    return write_increments(tmp_path / "tiny.csv", z)
+def tiny_file(scale):
+    def make(tmp_path):
+        z = _fgn_circulant(0.3, 1024, np.random.default_rng(3)) * scale
+        return write_increments(tmp_path / "tiny.csv", z)
+    return make
 
 
 def scaled_draw_file(scale):
@@ -367,6 +368,13 @@ def ramp_fleet(eps):
     return make
 
 
+# The ramp building's (verdict, h_hat) in each batch row.  At eps = 1e-4 its
+# increments Gaussianize to a mean square of 2.8e-278: every statistic
+# underflows at that scale, but the verdict is decided at a power-of-two
+# scale where none does.  At eps = 1e-6 the mean square itself is 0.
+RAMP_OUTCOMES = {"ramp-1e-4": ("rejected", 0.6), "ramp-1e-6": (None, None)}
+
+
 @pytest.mark.parametrize(
     "make_input, args, code",
     [
@@ -389,9 +397,10 @@ def ramp_fleet(eps):
                      ["gaussianize"], 1, id="unfittable"),
         pytest.param(non_utf8_file, ["analyze"], 2, id="analyze-non-utf8"),
         pytest.param(non_utf8_file, ["estimate"], 2, id="estimate-non-utf8"),
-        pytest.param(tiny_file, ["test", "--hurst", "0.3"], 2, id="underflow"),
+        # Every square underflows, so the mean square is 0.
+        pytest.param(tiny_file(1e-170), ["test", "--hurst", "0.3"], 2, id="underflow"),
         pytest.param(mixed_offset_file, ["analyze"], 2, id="analyze-mixed-utc-offsets"),
-        pytest.param(scaled_draw_file(1e61), ["test", "--hurst", "0.3"], 2,
+        pytest.param(scaled_draw_file(1e62), ["test", "--hurst", "0.3"], 2,
                      id="overflow-statistics"),
         pytest.param(lone_spike_file, ["test", "--hurst", "0.7"], 2, id="overflow-c"),
         pytest.param(scaled_draw_file(1e200), ["estimate"], 2, id="overflow-mean-square"),
@@ -405,7 +414,7 @@ def ramp_fleet(eps):
         pytest.param(ramp_fleet(1e-6), ["analyze"], 0, id="ramp-1e-6"),
     ],
 )
-def test_one_error_path(runner, tmp_path, make_input, args, code):
+def test_one_error_path(request, runner, tmp_path, make_input, args, code):
     """Every subcommand applies the stage rules and exits through the group
     handler; one underflowing building leaves the rest of a batch intact."""
     input_args = [] if make_input is None else ["--input", make_input(tmp_path)]
@@ -418,7 +427,22 @@ def test_one_error_path(runner, tmp_path, make_input, args, code):
         return
     reports = json.loads(result.stdout)["reports"]
     assert [r["building_id"] for r in reports] == ["good", "ramp"]
-    assert reports[1]["verdict"] is None
-    assert reports[1]["warnings"][0].startswith("no verdict: ")
+    verdict, h_hat = RAMP_OUTCOMES[request.node.callspec.id]
+    assert (reports[1]["verdict"], reports[1]["h_hat"]) == (verdict, h_hat)
+    if verdict is None:
+        assert reports[1]["warnings"][0].startswith("no verdict: ")
     alone = long_csv(tmp_path / "good.csv", [("good", simulate_fbm(0.7, 2048, 1).values)])
     assert reports[0] == json.loads(invoke(runner, "analyze", "--input", alone).stdout)["reports"][0]
+
+
+def test_underflowing_statistics_read_zero(runner, tmp_path):
+    # c is about 1e-200, so beta1 and stat_B underflow at the input's scale;
+    # the verdict is the one the unscaled draw gets.
+    path = tiny_file(1e-100)(tmp_path)
+    stats = json.loads(invoke(runner, "test", "--input", path, "--hurst", "0.3").stdout)
+    unscaled = json.loads(
+        invoke(runner, "test", "--input", tiny_file(1.0)(tmp_path), "--hurst", "0.3").stdout
+    )
+    assert stats["verdict"] == unscaled["verdict"] == "accepted"
+    assert stats["beta1"] == stats["b_n"] == 0.0
+    assert stats["c"] > 0.0

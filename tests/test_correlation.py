@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from oracles import dense_quadratic_form, durbin_reference, levinson
 
 from fbmpower.correlation import (
-    _levinson,
+    _durbin,
     build_correlation,
-    dense_quadratic_form,
     increment_correlation,
     quadratic_form_logdet,
 )
 from fbmpower.errors import IllConditionedError, InvalidSizeError
+
+GRID_H = np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
 
 # Frozen from direct evaluation of the closed forms.
 RHO_07_LAG1 = 0.3195079107728942  # 0.5 * (2**1.4 - 2)
@@ -132,13 +134,13 @@ class TestToeplitzQuadraticForm:
         dense = dense_quadratic_form(corr, z)
         assert abs(fast - dense) / dense < 1e-8
 
-    @pytest.mark.parametrize("h", np.round(np.arange(0.05, 0.96, 0.05), 2).tolist())
+    @pytest.mark.parametrize("h", GRID_H)
     def test_positive_definite_without_jitter(self, h):
         m = 2048
         corr = build_correlation(h, m)
         z = np.random.default_rng(int(h * 100)).standard_normal(m)
         # Every prediction variance stayed positive, so PD held.
-        x, _ = _levinson(corr, z)
+        x, _ = levinson(corr, z)
         assert np.all(np.isfinite(x))
         assert float(z @ x) > 0.0
 
@@ -156,9 +158,7 @@ class TestToeplitzQuadraticForm:
         with pytest.raises(IllConditionedError, match="prediction variance 0.0 at order 1"):
             quadratic_form_logdet(np.array([1.0, 1.0]), np.array([1.0, -1.0]))
 
-    @pytest.mark.parametrize(
-        "h", np.round(np.arange(0.05, 0.96, 0.05), 2).tolist() + [0.99, 0.999, 0.9999]
-    )
+    @pytest.mark.parametrize("h", GRID_H + [0.99, 0.999, 0.9999])
     @pytest.mark.parametrize("m", [2, 3, 17, 2048])
     def test_matches_levinson_oracle(self, h, m):
         # Durbin repeats Levinson's variance steps, so logdet keeps its bits;
@@ -166,7 +166,7 @@ class TestToeplitzQuadraticForm:
         corr = build_correlation(h, m)
         z = np.random.default_rng(m + int(1e4 * h)).standard_normal(m)
         quad, logdet = quadratic_form_logdet(corr, z)
-        x, expected_logdet = _levinson(corr, z)
+        x, expected_logdet = levinson(corr, z)
         assert quad == pytest.approx(float(z @ x), rel=1e-11)
         assert logdet == expected_logdet
 
@@ -185,7 +185,7 @@ class TestLevinsonSolve:
         row = corr[:m]
         idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
         b = rng.standard_normal(m)
-        x = _levinson(row, b)[0]
+        x = levinson(row, b)[0]
         assert np.allclose(row[idx] @ x, b, atol=1e-10)
 
     def test_scaled_diagonal(self):
@@ -193,4 +193,24 @@ class TestLevinsonSolve:
         row = np.array([4.0, 1.0, 0.4])
         b = np.array([1.0, 2.0, 3.0])
         idx = np.abs(np.arange(3)[:, None] - np.arange(3)[None, :])
-        assert np.allclose(row[idx] @ _levinson(row, b)[0], b, atol=1e-12)
+        assert np.allclose(row[idx] @ levinson(row, b)[0], b, atol=1e-12)
+
+
+class TestDurbin:
+    @pytest.mark.parametrize("h", GRID_H + [0.99, 0.999])
+    @pytest.mark.parametrize("m", [2, 3, 17, 168, 720, 2048])
+    def test_bit_equal_to_the_reference_loop(self, h, m):
+        row = build_correlation(h, m)
+        generators, beta, logdet = _durbin(row)
+        u, expected_beta, expected_logdet = durbin_reference(row)
+        assert np.array_equal(generators[0], u)
+        assert np.array_equal(generators[1], np.concatenate([[0.0], u[:0:-1]]))
+        assert beta == expected_beta
+        assert logdet == expected_logdet
+
+    @pytest.mark.parametrize("solve", [_durbin, durbin_reference])
+    def test_fails_at_order_three_with_the_reference_message(self, solve):
+        with pytest.raises(
+            IllConditionedError, match=r"^prediction variance -18\.000000000000018 at order 3: "
+        ):
+            solve(np.array([1.0, 0.6, -0.2, 0.9]))

@@ -184,16 +184,24 @@ class TestTestHypothesis:
         with pytest.raises(ConfigurationError):
             hyp.test_hypothesis(z, 0.3, **kwargs)
 
-    def test_underflowing_scale_rejected(self):
+    def test_underflowing_scale_keeps_its_verdict(self):
         # At x 1e-70, c is about 1e-140 and c^2.5 underflows: beta1 and stat_B
-        # both read 0.0, which used to flip the verdict to "rejected"; at
-        # x 1e-100 c^2 underflows too and a_limit was 0.
+        # read 0.0 at the input's scale, and at x 1e-100 c^2 underflows too.
+        # The verdict is decided at a power-of-two scale where neither does.
         z = _fgn_circulant(0.3, 1024, np.random.default_rng(3))
-        for scale in (1.0, 1e-60):
-            assert hyp.test_hypothesis(z * scale, 0.3).verdict == "accepted"
-        for scale in (1e-70, 1e-100):
-            with pytest.raises(DegenerateSeriesError):
-                hyp.test_hypothesis(z * scale, 0.3)
+        base = hyp.test_hypothesis(z, 0.3)
+        assert base.verdict == "accepted"
+        for scale in (1e-60, 1e-70, 1e-100):
+            stats = hyp.test_hypothesis(z * scale, 0.3)
+            assert stats.verdict == "accepted"
+            assert stats.delta == pytest.approx(base.delta, rel=1e-10)
+        assert stats.beta1 == 0.0 and stats.b_n == 0.0 and stats.a_limit == 0.0
+
+    def test_overflowing_statistics_rejected(self):
+        # At x 1e62, stat_B and beta1 leave the float range at the input's scale.
+        z = _fgn_circulant(0.3, 512, np.random.default_rng(3))
+        with pytest.raises(DegenerateSeriesError, match="overflow the float range"):
+            hyp.test_hypothesis(z * 1e62, 0.3)
 
     def test_scale_equivariance(self):
         z = standardized_increments(0.3, 512, 81)

@@ -1,15 +1,23 @@
 """Property tests: any short series of finite floats, and any bytes given to
 `analyze`, end in a documented exit code, with no traceback, no numpy
-warning and no NaN or Infinity."""
+warning and no NaN or Infinity; the Toeplitz solve matches a dense one at
+any diagonal scale; and the estimate and verdict do not depend on the
+scale of the series."""
 
 import json
 import re
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import dense_quadratic_form
 
+import fbmpower.hypothesis as hyp
 from fbmpower.cli import main
+from fbmpower.correlation import _dense_toeplitz, build_correlation, quadratic_form_logdet
+from fbmpower.hurst import estimate_hurst
+from fbmpower.simulate import _fgn_circulant
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -108,3 +116,40 @@ def test_any_bytes_given_to_analyze_end_in_a_documented_exit(tmp_path_factory, d
     assert "Traceback" not in result.output
     if result.exit_code == 0 and fmt == "json":
         json.loads(result.stdout, parse_constant=_reject_constant)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.floats(0.05, 0.95),
+    m=st.integers(2, 200),
+    j=st.integers(-20, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaled_correlation_row_matches_a_dense_solve(h, m, j, seed):
+    # The grid passes only unit diagonals; a scaled row checks the division
+    # by row[0] in the quadratic form and the m log row[0] term of logdet.
+    row = 2.0**j * 1.3 * build_correlation(h, m)
+    z = np.random.default_rng(seed).standard_normal(m)
+    quad, logdet = quadratic_form_logdet(row, z)
+    assert quad == pytest.approx(dense_quadratic_form(row, z), rel=1e-10)
+    sign, expected_logdet = np.linalg.slogdet(_dense_toeplitz(row))
+    assert sign == 1.0
+    assert logdet == pytest.approx(expected_logdet, abs=1e-10 * m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    h=st.sampled_from([0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+    # From the scale of a nearly linear ramp's Gaussianized increments
+    # (mean square about 1e-278) up to where degree-5 statistics overflow.
+    k=st.integers(-140, 50),
+)
+def test_estimate_and_verdict_do_not_depend_on_scale(h, seed, k):
+    z = _fgn_circulant(h, 256, np.random.default_rng(seed))
+    est = estimate_hurst(z)
+    scaled = z * 10.0**k
+    scaled_est = estimate_hurst(scaled)
+    assert scaled_est.h_hat == est.h_hat
+    assert (hyp.test_hypothesis(scaled, scaled_est.h_hat).verdict
+            == hyp.test_hypothesis(z, est.h_hat).verdict)

@@ -94,6 +94,16 @@ def _checked_values(series) -> np.ndarray:
     return vals
 
 
+def _power_of_two_exponent(vals: np.ndarray) -> int:
+    """The exponent e for which vals * 2**-e has max|value| in [0.5, 1).
+
+    The Hurst grid and the hypothesis test run on the series scaled so.  A
+    power-of-two rescale is exact, and at that scale their products neither
+    overflow nor lose precision to subnormals, whatever the input's scale.
+    """
+    return int(np.frexp(np.max(np.abs(vals)))[1])
+
+
 def increments(x) -> IncrementSeries:
     """First differences of a 1-D series of at least 9 points; a difference
     that is not finite is an InputFormatError naming its index."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .correlation import build_correlation, quadratic_form_logdet
 from .errors import ConfigurationError
-from .gaussianize import _checked_values
+from .gaussianize import _checked_values, _power_of_two_exponent
 
 __all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "estimate_hurst"]
 
@@ -102,7 +102,7 @@ def estimate_hurst(
     _check_q_constant(q_constant)
     vals = _checked_values(z)
     r1 = float(np.mean(np.abs(vals)))
-    scaled = np.ldexp(vals, -np.frexp(np.max(np.abs(vals)))[1])
+    scaled = np.ldexp(vals, -_power_of_two_exponent(vals))
     scaled_r1 = float(np.mean(np.abs(scaled)))
     scores = np.empty(grid_h.size)
     objectives = np.empty(grid_h.size)

@@ -13,7 +13,8 @@ stat_A from its limit stays under beta0 and |stat_B| stays under the
 1-alpha quantile beta1; the persistent branch (H > 0.5) accepts when
 stat_D falls in (0, beta2).  stat_A diverges like m^(2H-1) for H > 0.5, so
 its deviation check is off on the persistent branch unless explicitly
-requested.
+requested.  The statistics and thresholds are computed only inside
+`test_hypothesis`, on the series scaled by a power of two.
 
 The persistent-branch rule is calibrated on the limit law only.  With
 V_m = sum(z), stat_D splits exactly into
@@ -40,21 +41,10 @@ from statistics import NormalDist
 import numpy as np
 
 from .correlation import check_hurst
-from .errors import ConfigurationError, DegenerateSeriesError, InvalidSizeError
-from .gaussianize import _checked_values, _values
+from .errors import ConfigurationError, DegenerateSeriesError
+from .gaussianize import _checked_values, _power_of_two_exponent
 
-__all__ = [
-    "HypothesisStats",
-    "Classification",
-    "partial_sums",
-    "stat_A",
-    "stat_B",
-    "stat_D",
-    "thresholds",
-    "verdict_from_stats",
-    "test_hypothesis",
-    "classify",
-]
+__all__ = ["HypothesisStats", "Classification", "test_hypothesis", "classify"]
 
 # Quantile coefficients as printed in legacy reports (alpha = 0.1 rounded up).
 PAPER_B_COEFFICIENT = 4.95
@@ -101,39 +91,25 @@ class Classification:
     forecastable: bool
 
 
-def partial_sums(z) -> np.ndarray:
+def _partial_sums(vals: np.ndarray) -> np.ndarray:
     """Running sums v with v[0] = 0 and v[k] = z[0] + ... + z[k-1]."""
-    vals = _values(z)
-    if vals.size < 1:
-        raise InvalidSizeError("need at least one increment")
     out = np.empty(vals.size)
     out[0] = 0.0
     np.cumsum(vals[:-1], out=out[1:])
     return out
 
 
-def _paired(z, v) -> tuple[np.ndarray, np.ndarray]:
-    """z and its partial sums v as float arrays of one length."""
-    vals = _values(z)
-    v = np.asarray(v, dtype=float)
-    if v.size != vals.size:
-        raise ValueError("z and v must have equal length")
-    return vals, v
-
-
-def stat_A(z, v) -> float:
+def _stat_A(vals: np.ndarray, v: np.ndarray) -> float:
     """mean(v * z^3): first-order weighted cubic variation."""
-    vals, v = _paired(z, v)
     return float(np.mean(v * vals**3))
 
 
-def stat_B(z, v, h: float) -> float:
+def _stat_B(vals: np.ndarray, v: np.ndarray, h: float) -> float:
     """m^-(1+H) * sum(v^2 * z^3): second-order weighted cubic variation."""
-    vals, v = _paired(z, v)
     return float(vals.size ** -(1.0 + h) * np.sum(v * v * vals**3))
 
 
-def stat_D(z, v, h: float) -> float:
+def _stat_D(vals: np.ndarray, v: np.ndarray, h: float) -> float:
     """m^-2H * sum(v * z^3): the persistent-branch weighted cubic variation.
 
     Equals m^-2H (3/2) c V_m^2 - (3/2) c m^-2H sum(z^2)
@@ -142,11 +118,10 @@ def stat_D(z, v, h: float) -> float:
     has the (3/2) c^2 G^2 limit law; the bias and the remainder vanish like
     m^(1-2H) and m^(1/2-H).
     """
-    vals, v = _paired(z, v)
     return float(vals.size ** (-2.0 * h) * np.sum(v * vals**3))
 
 
-def _check_settings(alpha: float, beta0: float = DEFAULT_BETA0) -> None:
+def _check_settings(alpha: float, beta0: float) -> None:
     """The one home of the alpha and beta0 rules."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -154,12 +129,7 @@ def _check_settings(alpha: float, beta0: float = DEFAULT_BETA0) -> None:
         raise ConfigurationError(f"beta0 must be finite and positive, got {beta0}")
 
 
-def thresholds(
-    c: float,
-    h: float,
-    alpha: float = DEFAULT_ALPHA,
-    paper_constants: bool = False,
-) -> tuple[float, float]:
+def _thresholds(c: float, h: float, alpha: float, paper_constants: bool) -> tuple[float, float]:
     """Acceptance quantiles (beta1, beta2) at significance alpha.
 
     beta1 bounds |stat_B| two-sidedly under its N(0, 9 c^5 / (2H+2)) limit;
@@ -167,9 +137,6 @@ def thresholds(
     `paper_constants` the historical rounded coefficients 4.95 / 4.08
     (alpha = 0.1) are used instead of the exact normal quantile.
     """
-    _check_settings(alpha)
-    if not c > 0.0:
-        raise ValueError(f"mean square c must be positive, got {c!r}")
     if paper_constants:
         coeff_b = PAPER_B_COEFFICIENT
         coeff_d = PAPER_D_COEFFICIENT
@@ -182,31 +149,26 @@ def thresholds(
     return beta1, beta2
 
 
-def verdict_from_stats(
+def _verdict(
     h: float,
     delta: float,
-    beta0: float = DEFAULT_BETA0,
-    b_n: float | None = None,
-    beta1: float | None = None,
-    d_n_stat: float | None = None,
-    beta2: float | None = None,
+    beta0: float,
+    stat: float,
+    bound: float,
     require_delta_on_persistent: bool = False,
 ) -> str:
-    """Apply the acceptance rule to precomputed statistics.
+    """The acceptance rule on the branch statistic and its bound.
 
-    Antipersistent branch (h <= 0.5): accepted iff delta < beta0 and
-    |b_n| < beta1.  Persistent branch: accepted iff 0 < d_n_stat < beta2,
-    with delta < beta0 additionally required only when
+    Antipersistent branch (h <= 0.5), stat = stat_B and bound = beta1:
+    accepted iff delta < beta0 and |stat| < bound.  Persistent branch,
+    stat = stat_D and bound = beta2: accepted iff 0 < stat < bound, with
+    delta < beta0 additionally required only when
     `require_delta_on_persistent` is set.
     """
     if h <= 0.5:
-        if b_n is None or beta1 is None:
-            raise ValueError("antipersistent branch needs b_n and beta1")
-        ok = delta < beta0 and abs(b_n) < beta1
+        ok = delta < beta0 and abs(stat) < bound
     else:
-        if d_n_stat is None or beta2 is None:
-            raise ValueError("persistent branch needs d_n_stat and beta2")
-        ok = 0.0 < d_n_stat < beta2
+        ok = 0.0 < stat < bound
         if require_delta_on_persistent:
             ok = ok and delta < beta0
     return "accepted" if ok else "rejected"
@@ -238,29 +200,21 @@ def test_hypothesis(
     _check_settings(alpha, beta0)
     vals = _checked_values(z)
     c = float(np.mean(vals * vals))
-    exponent = int(np.frexp(np.max(np.abs(vals)))[1])
+    exponent = _power_of_two_exponent(vals)
     scaled = np.ldexp(vals, -exponent)
     c_scaled = float(np.mean(scaled * scaled))
-    v = partial_sums(scaled)
-    beta1, beta2 = thresholds(c_scaled, h_hat, alpha, paper_constants)
-    a_n = stat_A(scaled, v)
-    if h_hat <= 0.5:
-        branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, stat_B(scaled, v, h_hat), None, None
-    else:
-        branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, stat_D(scaled, v, h_hat), None
+    v = _partial_sums(scaled)
+    beta1, beta2 = _thresholds(c_scaled, h_hat, alpha, paper_constants)
+    a_n = _stat_A(scaled, v)
     a_limit = -1.5 * c_scaled * c_scaled
     delta = abs(a_n - a_limit) / abs(a_limit)
     sigma = (2.0 * h_hat + 2.0) ** -0.5
-    verdict = verdict_from_stats(
-        h_hat,
-        delta,
-        beta0,
-        b_n=b_n,
-        beta1=beta1,
-        d_n_stat=d_n,
-        beta2=beta2,
-        require_delta_on_persistent=require_delta_on_persistent,
-    )
+    if h_hat <= 0.5:
+        branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, _stat_B(scaled, v, h_hat), None, None
+        verdict = _verdict(h_hat, delta, beta0, b_n, beta1)
+    else:
+        branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, _stat_D(scaled, v, h_hat), None
+        verdict = _verdict(h_hat, delta, beta0, d_n, beta2, require_delta_on_persistent)
 
     def rescaled(x: float | None, degree: int) -> float | None:
         """A statistic homogeneous of this degree in z, at the input's scale."""
@@ -301,7 +255,7 @@ def classify(h_hat: float, verdict: str) -> Classification:
     """
     check_hurst(h_hat)
     if verdict not in ("accepted", "rejected"):
-        raise ValueError(f"unknown verdict {verdict!r}")
+        raise ConfigurationError(f"unknown verdict {verdict!r}")
     if h_hat < 0.5:
         persistence, noise, memory = "antipersistent", "pink", "short"
     elif h_hat > 0.5:

@@ -39,8 +39,8 @@ def standardized_increments(h, m, seed):
 
 
 def test_c01_threshold_constants():
-    b1_paper, b2_paper = hyp.thresholds(1.0, 0.4, alpha=0.1, paper_constants=True)
-    b1_derived, b2_derived = hyp.thresholds(1.0, 0.4, alpha=0.1)
+    b1_paper, b2_paper = hyp._thresholds(1.0, 0.4, alpha=0.1, paper_constants=True)
+    b1_derived, b2_derived = hyp._thresholds(1.0, 0.4, alpha=0.1, paper_constants=False)
     ok = (
         abs(b1_paper - 2.958) <= 1e-3
         and abs(b2_paper - 4.080) <= 1e-3
@@ -58,15 +58,9 @@ def test_c01_threshold_constants():
 
 
 def test_c02_table_fixtures():
-    bank = hyp.verdict_from_stats(
-        0.4, abs(-1.58 - -1.57) / 1.57, 0.1, b_n=0.22, beta1=2.98
-    )
-    theater = hyp.verdict_from_stats(
-        0.1, abs(-1.59 - -1.5) / 1.5, 0.1, b_n=3.07, beta1=2.05
-    )
-    textile = hyp.verdict_from_stats(
-        0.4, abs(398.8 - -1.5) / 1.5, 0.1, b_n=-2.125, beta1=2.95
-    )
+    bank = hyp._verdict(0.4, abs(-1.58 - -1.57) / 1.57, 0.1, 0.22, 2.98)
+    theater = hyp._verdict(0.1, abs(-1.59 - -1.5) / 1.5, 0.1, 3.07, 2.05)
+    textile = hyp._verdict(0.4, abs(398.8 - -1.5) / 1.5, 0.1, -2.125, 2.95)
     ok = bank == "accepted" and theater == "rejected" and textile == "rejected"
     report("C02 table fixtures", ok, f"bank={bank}, theater={theater}, textile={textile}")
 
@@ -108,7 +102,7 @@ def test_c05_hurst_recovery():
 
 def test_c06a_stat_a_limit():
     vals = [
-        hyp.stat_A(z, hyp.partial_sums(z))
+        hyp._stat_A(z, hyp._partial_sums(z))
         for z in (standardized_increments(0.3, 8192, 10_000 + s) for s in range(50))
     ]
     mean = float(np.mean(vals))
@@ -117,7 +111,7 @@ def test_c06a_stat_a_limit():
 
 def test_c06b_stat_b_spread():
     vals = [
-        hyp.stat_B(z, hyp.partial_sums(z), 0.3)
+        hyp._stat_B(z, hyp._partial_sums(z), 0.3)
         for z in (standardized_increments(0.3, 8192, 10_000 + s) for s in range(200))
     ]
     spread = float(np.std(vals))
@@ -187,9 +181,9 @@ def test_c07_scale_invariance():
     rng = np.random.default_rng(19)
     z = rng.standard_normal(512)
     base_est = estimate_hurst(z)
-    v = hyp.partial_sums(z)
+    v = hyp._partial_sums(z)
     base = dict(
-        a=hyp.stat_A(z, v), b=hyp.stat_B(z, v, 0.3), d=hyp.stat_D(z, v, 0.7),
+        a=hyp._stat_A(z, v), b=hyp._stat_B(z, v, 0.3), d=hyp._stat_D(z, v, 0.7),
         c=float(np.mean(z * z)),
     )
     base_stats = hyp.test_hypothesis(z, 0.5)
@@ -198,12 +192,12 @@ def test_c07_scale_invariance():
     for a in (1e-3, 1.0, 1e3):
         za = a * z
         est = estimate_hurst(za)
-        va = hyp.partial_sums(za)
+        va = hyp._partial_sums(za)
         rel = lambda got, want: abs(got - want) / abs(want)
         ok = ok and est.h_hat == base_est.h_hat
-        ok = ok and rel(hyp.stat_A(za, va), a**4 * base["a"]) < 1e-10
-        ok = ok and rel(hyp.stat_D(za, va, 0.7), a**4 * base["d"]) < 1e-10
-        ok = ok and rel(hyp.stat_B(za, va, 0.3), a**5 * base["b"]) < 1e-10
+        ok = ok and rel(hyp._stat_A(za, va), a**4 * base["a"]) < 1e-10
+        ok = ok and rel(hyp._stat_D(za, va, 0.7), a**4 * base["d"]) < 1e-10
+        ok = ok and rel(hyp._stat_B(za, va, 0.3), a**5 * base["b"]) < 1e-10
         stats = hyp.test_hypothesis(za, 0.5)
         ok = ok and stats.verdict == base_stats.verdict
         ok = ok and rel(stats.delta, base_stats.delta) < 1e-10 if a != 1.0 else ok

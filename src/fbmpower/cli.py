@@ -109,7 +109,7 @@ _test_options = _options(
     click.option("--alpha", type=float, default=hyp.DEFAULT_ALPHA, show_default=True),
     click.option("--beta0", type=float, default=hyp.DEFAULT_BETA0, show_default=True),
     click.option("--paper-constants", is_flag=True,
-                 help="Use the rounded threshold coefficients 4.95/4.08."),
+                 help="Use the rounded alpha = 0.1 coefficients 4.95/4.08; needs --alpha 0.1."),
     click.option("--require-delta-on-persistent", is_flag=True,
                  help="Require the stat_A deviation check on the persistent branch too."),
 )

@@ -57,7 +57,7 @@ def increment_correlation(h: float, lag: int) -> float:
     h = check_hurst(h)
     lag = int(lag)
     if lag < 0:
-        raise ValueError("lag must be >= 0")
+        raise ConfigurationError(f"lag must be >= 0, got {lag}")
     two_h = 2.0 * h
     return float(
         0.5 * ((lag + 1.0) ** two_h + abs(lag - 1.0) ** two_h - 2.0 * float(lag) ** two_h)
@@ -141,7 +141,7 @@ def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]
     row = np.asarray(row, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.size != row.size:
-        raise ValueError(f"z length {z.size} does not match correlation size {row.size}")
+        raise InvalidSizeError(f"z length {z.size} does not match correlation size {row.size}")
     generators, beta, logdet = _durbin(row)
     n = row.size
     size = 1 << (2 * n - 1).bit_length()

@@ -11,7 +11,7 @@ class AnalysisError(Exception):
 
 
 class InvalidSizeError(AnalysisError, ValueError):
-    """A sequence is too short for the requested operation."""
+    """A sequence is too short or of the wrong size for the requested operation."""
 
 
 class DegenerateSeriesError(AnalysisError, ValueError):

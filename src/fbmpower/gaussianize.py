@@ -65,8 +65,21 @@ class IncrementSeries:
     values: np.ndarray
 
 
+def _floats(x) -> np.ndarray:
+    """x as a float array; an object that does not convert is an
+    InputFormatError naming its type."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"expected an array of floats, got {type(x).__name__}") from None
+
+
 def _values(series) -> np.ndarray:
-    return np.asarray(getattr(series, "values", series), dtype=float)
+    """A stage's input as a float array.  Only an IncrementSeries is
+    unwrapped: the values of an FbmPath or a RawSeries are levels, not
+    increments, so those raise InputFormatError instead of giving a
+    plausible wrong answer."""
+    return _floats(series.values if isinstance(series, IncrementSeries) else series)
 
 
 def _checked_values(series) -> np.ndarray:
@@ -106,8 +119,9 @@ def _power_of_two_exponent(vals: np.ndarray) -> int:
 
 def increments(x) -> IncrementSeries:
     """First differences of a 1-D series of at least 9 points; a difference
-    that is not finite is an InputFormatError naming its index."""
-    x = np.asarray(x, dtype=float)
+    that is not finite is an InputFormatError naming its index.  Pass an
+    array of levels, such as an FbmPath's values, not the FbmPath itself."""
+    x = _floats(x)
     if x.ndim != 1 or x.size < MIN_INCREMENTS + 1:
         raise InvalidSizeError(
             f"need at least {MIN_INCREMENTS + 1} observations in 1-D, got shape {x.shape}"
@@ -140,7 +154,9 @@ def gaussian_ratio_theoretical(lam: float) -> float:
     """
     lam = float(lam)
     if not 0.0 < lam < THEORETICAL_LAMBDA_CAP:
-        raise ValueError(f"exponent must lie in (0, {THEORETICAL_LAMBDA_CAP}), got {lam!r}")
+        raise ConfigurationError(
+            f"exponent must lie in (0, {THEORETICAL_LAMBDA_CAP}), got {lam!r}"
+        )
     log_ratio = (
         2.0 * math.lgamma((lam + 1.0) / 2.0)
         - math.lgamma(lam + 0.5)
@@ -245,13 +261,13 @@ def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
 
 def transform(y, lam: float) -> np.ndarray:
     """Apply z = sgn(y) |y|^lam to a 1-D series; zero increments stay
-    exactly zero.  A non-positive lam is a ValueError.
+    exactly zero.  A non-positive lam is a ConfigurationError.
 
     A finite value whose power leaves the float range raises
     DegenerateSeriesError naming its index and lam.
     """
     if not lam > 0.0:
-        raise ValueError(f"exponent must be positive, got {lam!r}")
+        raise ConfigurationError(f"exponent must be positive, got {lam!r}")
     vals = _values(y)
     if vals.ndim != 1:
         raise InvalidSizeError(f"need a 1-D series, got shape {vals.shape}")

@@ -46,7 +46,8 @@ from .gaussianize import _checked_values, _power_of_two_exponent
 
 __all__ = ["HypothesisStats", "Classification", "test_hypothesis", "classify"]
 
-# Quantile coefficients as printed in legacy reports (alpha = 0.1 rounded up).
+# Quantile coefficients as printed in legacy reports: the alpha = 0.1
+# quantiles rounded up, so they apply at that alpha only.
 PAPER_B_COEFFICIENT = 4.95
 PAPER_D_COEFFICIENT = 4.08
 
@@ -121,10 +122,14 @@ def _stat_D(vals: np.ndarray, v: np.ndarray, h: float) -> float:
     return float(vals.size ** (-2.0 * h) * np.sum(v * vals**3))
 
 
-def _check_settings(alpha: float, beta0: float) -> None:
-    """The one home of the alpha and beta0 rules."""
+def _check_settings(alpha: float, beta0: float, paper_constants: bool) -> None:
+    """The one home of the alpha, beta0 and paper-constants rules."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    if paper_constants and alpha != 0.1:
+        raise ConfigurationError(
+            f"the paper constants are the alpha = 0.1 quantiles, got alpha {alpha}"
+        )
     if not 0.0 < beta0 < math.inf:
         raise ConfigurationError(f"beta0 must be finite and positive, got {beta0}")
 
@@ -191,13 +196,14 @@ def test_hypothesis(
     the rescale is exact.  The statistics and thresholds are reported at the
     input's scale, scaled back by the same power of two; one that underflows
     there reads 0.  Raises ConfigurationError for h_hat outside (0, 1), alpha
-    outside (0, 1) or a beta0 that is not finite and positive, and the input
-    errors of the checked series (non-finite, too short, zero or infinite
-    mean square).  A DegenerateSeriesError marks a series whose reported
-    statistics or thresholds overflow.
+    outside (0, 1), `paper_constants` with an alpha other than 0.1 or a beta0
+    that is not finite and positive, and the input errors of the checked
+    series (non-finite, too short, zero or infinite mean square).  A
+    DegenerateSeriesError marks a series whose reported statistics or
+    thresholds overflow.
     """
     check_hurst(h_hat)
-    _check_settings(alpha, beta0)
+    _check_settings(alpha, beta0, paper_constants)
     vals = _checked_values(z)
     c = float(np.mean(vals * vals))
     exponent = _power_of_two_exponent(vals)

@@ -71,20 +71,21 @@ class RawSeries:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if self.quantity not in QUANTITIES:
-            raise ValueError(f"quantity must be one of {QUANTITIES}, got {self.quantity!r}")
+            raise InputFormatError(f"quantity must be one of {QUANTITIES}, got {self.quantity!r}")
         if values.ndim != 1 or values.size != len(self.timestamps):
-            raise ValueError("values must be one-dimensional, one per timestamp")
+            raise InvalidSizeError("values must be one-dimensional, one per timestamp")
         if values.size < MIN_SERIES_LENGTH:
             raise InvalidSizeError(
                 f"series needs at least {MIN_SERIES_LENGTH} observations, got {values.size}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputFormatError(f"index {bad[0]}: non-finite value {float(values[bad[0]])}")
         if len({t.utcoffset() is None for t in self.timestamps}) > 1:
-            raise ValueError("timestamps must be all naive or all carry a UTC offset")
+            raise InputFormatError("timestamps must be all naive or all carry a UTC offset")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
             if not a < b:
-                raise ValueError(f"timestamps must be strictly increasing; saw {a} then {b}")
+                raise InputFormatError(f"timestamps must be strictly increasing; saw {a} then {b}")
         object.__setattr__(self, "values", values)
 
 
@@ -112,7 +113,7 @@ class AnalysisConfig:
         hu._make_grid(self.grid_start, self.grid_stop, self.grid_step)
         hu._check_q_constant(self.q_constant)
         gz._check_ratio_tol(self.ratio_tol)
-        hyp._check_settings(self.alpha, self.beta0)
+        hyp._check_settings(self.alpha, self.beta0, self.paper_constants)
         _check_gap_policy(self.gap_policy)
 
 
@@ -147,9 +148,24 @@ class BuildingReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-# JSON field names; "lam" is spelled out because the transform exponent is
-# called lambda everywhere outside Python.
+# Each report field with its output key, in field order; JSON, CSV and
+# Markdown read the report through this one table.  "lam" is spelled out
+# because the transform exponent is called lambda everywhere outside Python.
 _REPORT_KEYS = {"lam": "lambda"}
+_REPORT_FIELDS = tuple((f.name, _REPORT_KEYS.get(f.name, f.name)) for f in fields(BuildingReport))
+
+# The statistics a full report copies by name from the hypothesis test.
+_STATS_FIELDS = tuple(
+    f.name for f in fields(hyp.HypothesisStats) if f.name in BuildingReport.__dataclass_fields__
+)
+
+# The Markdown table's (header, output key) columns: the headline statistics
+# and the verdict.
+_MD_COLUMNS = (
+    ("building", "building_id"), ("quantity", "quantity"), ("H", "h_hat"), ("A_n", "a_n"),
+    ("B_n", "b_n"), ("D_n", "d_n_stat"), ("A", "a_limit"), ("beta1", "beta1"),
+    ("beta2", "beta2"), ("verdict", "verdict"), ("forecastable", "forecastable"),
+)
 
 
 def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries], list[str]]:
@@ -362,15 +378,17 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
     """
     warnings: list[str] = []
 
+    def report(**found) -> BuildingReport:
+        return BuildingReport(series.building_id, series.quantity, warnings=tuple(warnings),
+                              **found)
+
     try:
         normed = normalize(series.values)
     except DegenerateSeriesError as exc:
-        return BuildingReport(
-            building_id=series.building_id,
-            quantity=series.quantity,
-            warnings=(f"degenerate series: {exc}; no statistics computed",),
-        )
+        warnings.append(f"degenerate series: {exc}; no statistics computed")
+        return report()
     incs = gz.increments(detrend(normed))
+    m = incs.values.size
 
     # Repeated raw readings survive detrending only as a constant offset, so
     # gauge transform conditioning on the observed increments.
@@ -385,13 +403,7 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
         lam = gz.fit_lambda(incs, tol=config.ratio_tol)
     except (UnfittableSeriesError, DegenerateSeriesError) as exc:
         warnings.append(f"non-Gaussianizable: {exc}")
-        return BuildingReport(
-            building_id=series.building_id,
-            quantity=series.quantity,
-            m=incs.values.size,
-            verdict="rejected",
-            warnings=tuple(warnings),
-        )
+        return report(m=m, verdict="rejected")
 
     try:
         z = gz.transform(incs, lam)
@@ -413,51 +425,19 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
         )
     except AnalysisError as exc:
         warnings.append(f"no verdict: {exc}")
-        return BuildingReport(
-            building_id=series.building_id,
-            quantity=series.quantity,
-            m=incs.values.size,
-            lam=lam,
-            warnings=tuple(warnings),
-        )
+        return report(m=m, lam=lam)
     labels = hyp.classify(estimate.h_hat, stats.verdict)
-    return BuildingReport(
-        building_id=series.building_id,
-        quantity=series.quantity,
-        m=z.size,
+    return report(
+        m=m,
         lam=lam,
         achieved_ratio=achieved_ratio,
         h_hat=estimate.h_hat,
         q_at_hat=estimate.q_at_hat,
-        c=stats.c,
-        a_n=stats.a_n,
-        a_limit=stats.a_limit,
-        delta=stats.delta,
-        b_n=stats.b_n,
-        d_n_stat=stats.d_n_stat,
-        beta0=stats.beta0,
-        beta1=stats.beta1,
-        beta2=stats.beta2,
-        verdict=stats.verdict,
         memory_class=labels.memory,
         noise_label=labels.noise,
         forecastable=labels.forecastable,
-        warnings=tuple(warnings),
+        **{name: getattr(stats, name) for name in _STATS_FIELDS},
     )
-
-
-def _report_dict(report: BuildingReport) -> dict:
-    out = {}
-    for f in fields(BuildingReport):
-        value = getattr(report, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[_REPORT_KEYS.get(f.name, f.name)] = value
-    return out
-
-
-def _sorted_reports(reports) -> list[BuildingReport]:
-    return sorted(reports, key=lambda r: (r.building_id, r.quantity))
 
 
 def _fmt(value) -> str:
@@ -485,47 +465,20 @@ def render_report(reports, fmt: str = "json") -> str:
     """
     if fmt not in REPORT_FORMATS:
         raise ConfigurationError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
-    ordered = _sorted_reports(reports)
+    ordered = sorted(reports, key=lambda r: (r.building_id, r.quantity))
+    rows = [{key: getattr(r, name) for name, key in _REPORT_FIELDS} for r in ordered]
     if fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "reports": [_report_dict(r) for r in ordered],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps({"schema_version": SCHEMA_VERSION, "reports": rows}, indent=2) + "\n"
     if fmt == "csv":
-        names = [_REPORT_KEYS.get(f.name, f.name) for f in fields(BuildingReport)]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        for report in ordered:
-            row = []
-            for f in fields(BuildingReport):
-                value = getattr(report, f.name)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, tuple):
-                    row.append("; ".join(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+        writer = csv.DictWriter(buf, [key for _, key in _REPORT_FIELDS], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "warnings": "; ".join(row["warnings"])} for row in rows)
         return buf.getvalue()
-    columns = (
-        ("building", lambda r: r.building_id),
-        ("quantity", lambda r: r.quantity),
-        ("H", lambda r: _fmt(r.h_hat)),
-        ("A_n", lambda r: _fmt(r.a_n)),
-        ("B_n", lambda r: _fmt(r.b_n)),
-        ("D_n", lambda r: _fmt(r.d_n_stat)),
-        ("A", lambda r: _fmt(r.a_limit)),
-        ("beta1", lambda r: _fmt(r.beta1)),
-        ("beta2", lambda r: _fmt(r.beta2)),
-        ("verdict", lambda r: _fmt(r.verdict)),
-        ("forecastable", lambda r: _fmt(r.forecastable)),
-    )
     lines = [
-        "| " + " | ".join(name for name, _ in columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
+        "| " + " | ".join(header for header, _ in _MD_COLUMNS) + " |",
+        "| " + " | ".join("---" for _ in _MD_COLUMNS) + " |",
     ]
-    for report in ordered:
-        lines.append("| " + " | ".join(_md_cell(getter(report)) for _, getter in columns) + " |")
+    for row in rows:
+        lines.append("| " + " | ".join(_md_cell(_fmt(row[key])) for _, key in _MD_COLUMNS) + " |")
     return "\n".join(lines) + "\n"

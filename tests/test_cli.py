@@ -391,6 +391,8 @@ RAMP_OUTCOMES = {"ramp-1e-4": ("rejected", 0.6), "ramp-1e-6": (None, None)}
                      id="analyze-q-constant-inf"),
         pytest.param(normal_file, ["test", "--hurst", "0.3", "--alpha", "2", "--paper-constants"],
                      3, id="alpha-paper-constants"),
+        pytest.param(normal_file, ["test", "--hurst", "0.3", "--alpha", "0.05",
+                                   "--paper-constants"], 3, id="alpha-0.05-paper-constants"),
         pytest.param(None, ["simulate", "--hurst", "0.5", "--n", "8", "--seed", "-1"], 3,
                      id="seed"),
         pytest.param(lambda tmp_path: write_increments(tmp_path / "pm.csv", [1.0, -1.0] * 8),

@@ -8,7 +8,7 @@ from fbmpower.correlation import (
     increment_correlation,
     quadratic_form_logdet,
 )
-from fbmpower.errors import IllConditionedError, InvalidSizeError
+from fbmpower.errors import ConfigurationError, IllConditionedError, InvalidSizeError
 
 GRID_H = np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
 
@@ -41,7 +41,7 @@ class TestIncrementCorrelation:
         assert increment_correlation(h, 0) == 1.0
 
     def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             increment_correlation(0.5, -1)
 
     @pytest.mark.parametrize("h", [0.0, 1.0, -0.1, 1.5, float("nan")])
@@ -146,7 +146,7 @@ class TestToeplitzQuadraticForm:
 
     def test_length_mismatch_rejected(self):
         corr = build_correlation(0.5, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSizeError):
             quadratic_form_logdet(corr, np.ones(3))
 
     def test_indefinite_matrix_raises_after_jitter(self):

@@ -1,4 +1,5 @@
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fbmpower.gaussianize import (
     kurtosis_ratio,
     transform,
 )
+from fbmpower.pipeline import RawSeries
 from fbmpower.simulate import simulate_fbm
 
 
@@ -50,6 +52,32 @@ class TestIncrements:
         x[4] = np.inf
         with pytest.raises(InputFormatError, match="index 3: non-finite increment inf"):
             increments(x)
+
+    @pytest.mark.parametrize("x", [simulate_fbm(0.3, 16, 0), object(), "abc"],
+                             ids=["FbmPath", "object", "str"])
+    def test_non_numeric_input_named(self, x):
+        with pytest.raises(InputFormatError, match=type(x).__name__):
+            increments(x)
+
+
+def _path_and_series():
+    path = simulate_fbm(0.3, 512, 0)
+    stamps = tuple(datetime(2024, 1, 1) + timedelta(hours=k) for k in range(path.values.size))
+    return {"FbmPath": path, "RawSeries": RawSeries("b", "P", stamps, path.values)}
+
+
+@pytest.mark.parametrize("kind", ["FbmPath", "RawSeries"])
+@pytest.mark.parametrize(
+    "stage",
+    [fit_lambda, kurtosis_ratio, lambda y: transform(y, 1.0), hu.estimate_hurst,
+     lambda z: hyp.test_hypothesis(z, 0.3)],
+    ids=["fit_lambda", "kurtosis_ratio", "transform", "estimate_hurst", "test_hypothesis"],
+)
+def test_stages_reject_levels_with_a_values_field(stage, kind):
+    # Their .values are levels, not increments; read as increments, this
+    # H = 0.3 path estimates at h_hat 0.95.
+    with pytest.raises(InputFormatError, match=kind):
+        stage(_path_and_series()[kind])
 
 
 class TestKurtosisRatio:
@@ -90,7 +118,7 @@ class TestGaussianRatioTheoretical:
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, 40.0, 50.0])
     def test_domain_errors(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gaussian_ratio_theoretical(lam)
 
     def test_strictly_decreasing_in_open_unit_range(self):
@@ -207,7 +235,7 @@ class TestTransform:
         assert np.array_equal(z, [4.0, -4.0])
 
     def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ValueError, match="exponent must be positive"):
+        with pytest.raises(ConfigurationError, match="exponent must be positive"):
             transform(np.ones(8), 0.0)
 
     def test_two_dimensional_rejected(self):

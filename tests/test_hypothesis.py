@@ -162,7 +162,7 @@ class TestTestHypothesis:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(beta0=-1.0), dict(alpha=2.0, paper_constants=True), dict(beta0=math.inf),
-         dict(alpha=1.5)],
+         dict(alpha=1.5), dict(alpha=0.05, paper_constants=True)],
     )
     def test_bad_settings_rejected(self, kwargs):
         z = np.random.default_rng(3).standard_normal(64)

@@ -1,14 +1,17 @@
+import ast
 import importlib
 import json
 import pkgutil
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fbmpower
+import fbmpower.errors
 import fbmpower.gaussianize as gz
 from fbmpower.errors import (
     ConfigurationError,
@@ -89,7 +92,7 @@ class TestDetrend:
 
 class TestRawSeries:
     def test_rejects_bad_quantity(self, make_series):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError):
             make_series(np.ones(9), quantity="Q")
 
     def test_rejects_short_series(self, make_series):
@@ -99,23 +102,23 @@ class TestRawSeries:
     def test_rejects_nonfinite(self, make_series):
         values = np.arange(9.0)
         values[3] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError, match="index 3: non-finite value nan"):
             make_series(values)
 
     def test_rejects_nonincreasing_timestamps(self):
         stamps = tuple([datetime(2024, 1, 1)] * 9)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputFormatError):
             RawSeries("b", "P", stamps, np.arange(9.0))
 
     def test_rejects_two_dimensional_values(self):
         stamps = tuple(datetime(2024, 1, 1, k) for k in range(16))
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(InvalidSizeError, match="one-dimensional"):
             RawSeries("b", "P", stamps, np.arange(16.0).reshape(4, 4))
 
     def test_rejects_naive_and_aware_timestamps(self):
         stamps = tuple(datetime(2024, 1, 1, k, tzinfo=timezone.utc if k % 2 else None)
                        for k in range(9))
-        with pytest.raises(ValueError, match="naive"):
+        with pytest.raises(InputFormatError, match="naive"):
             RawSeries("b", "P", stamps, np.arange(9.0))
 
 
@@ -323,6 +326,7 @@ class TestAnalysisConfig:
             dict(q_constant=float("inf")),
             dict(beta0=float("inf")),
             dict(ratio_tol=float("inf")),
+            dict(alpha=0.05, paper_constants=True),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -462,6 +466,10 @@ class TestRenderReport:
         assert len(lines) == 3
         bank_row = lines[1]
         assert bank_row.startswith("bank,P,")
+        # CSV and JSON read one field table: the same keys in the same order.
+        assert render_report([], "csv").strip().split(",") == header
+        for report in json.loads(render_report(self.reports(), "json"))["reports"]:
+            assert list(report) == header
 
     def test_deterministic_bytes(self):
         reports = self.reports()
@@ -485,3 +493,21 @@ def test_every_export_resolves():
         if not hasattr(module, name)
     ]
     assert stale == []
+
+
+def test_every_raise_is_typed():
+    """Each raise in the package re-raises or builds a class from
+    fbmpower.errors, so callers can catch AnalysisError."""
+    typed = {
+        name for name, obj in vars(fbmpower.errors).items()
+        if isinstance(obj, type) and issubclass(obj, fbmpower.errors.AnalysisError)
+    }
+    untyped = []
+    for path in sorted(Path(fbmpower.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            built = node.exc.func if isinstance(node.exc, ast.Call) else None
+            if not (isinstance(built, ast.Name) and built.id in typed):
+                untyped.append(f"{path.name}:{node.lineno}")
+    assert untyped == []

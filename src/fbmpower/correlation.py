@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, IllConditionedError, InvalidSizeError
+from .errors import IllConditionedError, InvalidSizeError, _integer, _real
 
 __all__ = [
     "check_hurst",
@@ -33,11 +33,8 @@ __all__ = [
 
 
 def check_hurst(h: float) -> float:
-    """Validate a Hurst exponent; outside (0, 1) it is a ConfigurationError."""
-    h = float(h)
-    if not np.isfinite(h) or not 0.0 < h < 1.0:
-        raise ConfigurationError(f"Hurst exponent must lie strictly in (0, 1), got {h!r}")
-    return h
+    """h as a float; ConfigurationError unless it is a real number in (0, 1)."""
+    return _real("Hurst exponent", h, 0, 1)
 
 
 def _correlation_row(h: float, m: int) -> np.ndarray:
@@ -55,9 +52,7 @@ def increment_correlation(h: float, lag: int) -> float:
     Wiener increments); positive for H > 0.5, negative for H < 0.5.
     """
     h = check_hurst(h)
-    lag = int(lag)
-    if lag < 0:
-        raise ConfigurationError(f"lag must be >= 0, got {lag}")
+    lag = _integer("lag", lag, 0)
     two_h = 2.0 * h
     return float(
         0.5 * ((lag + 1.0) ** two_h + abs(lag - 1.0) ** two_h - 2.0 * float(lag) ** two_h)

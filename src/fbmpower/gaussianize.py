@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
     InvalidSizeError,
     UnfittableSeriesError,
+    _real,
 )
 
 __all__ = [
@@ -82,6 +82,14 @@ def _values(series) -> np.ndarray:
     return _floats(series.values if isinstance(series, IncrementSeries) else series)
 
 
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    """vals; a non-finite value is an InputFormatError naming its index."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise InputFormatError(f"index {bad[0]}: non-finite {what} {float(vals[bad[0]])}")
+    return vals
+
+
 def _checked_values(series) -> np.ndarray:
     """The series as a 1-D float array that every statistic can use.
 
@@ -95,9 +103,7 @@ def _checked_values(series) -> np.ndarray:
         raise InvalidSizeError(
             f"need a 1-D series of at least {MIN_INCREMENTS} values, got shape {vals.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise InputFormatError(f"index {bad[0]}: non-finite value {float(vals[bad[0]])}")
+    _finite(vals, "value")
     with np.errstate(over="ignore"):
         mean_sq = float(np.mean(vals * vals))
     if mean_sq == 0.0:
@@ -126,11 +132,7 @@ def increments(x) -> IncrementSeries:
         raise InvalidSizeError(
             f"need at least {MIN_INCREMENTS + 1} observations in 1-D, got shape {x.shape}"
         )
-    diffs = np.diff(x)
-    bad = np.flatnonzero(~np.isfinite(diffs))
-    if bad.size:
-        raise InputFormatError(f"index {bad[0]}: non-finite increment {float(diffs[bad[0]])}")
-    return IncrementSeries(values=diffs)
+    return IncrementSeries(values=_finite(np.diff(x), "increment"))
 
 
 def _ratio(vals: np.ndarray) -> float:
@@ -152,11 +154,7 @@ def gaussian_ratio_theoretical(lam: float) -> float:
     Strictly decreasing on (0, 40) with limit 1 at 0+; equals 2/pi at
     lam = 1.  Evaluated through log-Gamma so large exponents stay finite.
     """
-    lam = float(lam)
-    if not 0.0 < lam < THEORETICAL_LAMBDA_CAP:
-        raise ConfigurationError(
-            f"exponent must lie in (0, {THEORETICAL_LAMBDA_CAP}), got {lam!r}"
-        )
+    lam = _real("exponent", lam, 0, THEORETICAL_LAMBDA_CAP)
     log_ratio = (
         2.0 * math.lgamma((lam + 1.0) / 2.0)
         - math.lgamma(lam + 0.5)
@@ -191,14 +189,13 @@ def _initial_guess(raw_ratio: float) -> float:
     return float(np.clip(1.0 / root, LAMBDA_MIN, LAMBDA_MAX))
 
 
-def _check_ratio_tol(tol: float) -> None:
+def _check_ratio_tol(tol: float) -> float:
     """The one home of the ratio-tolerance rule.
 
     Every ratio lies in (0, 1], within 2/pi of the target, so a tolerance
     of 2/pi or more would accept any series untransformed.
     """
-    if not 0.0 < tol < GAUSSIAN_RATIO:
-        raise ConfigurationError(f"ratio tolerance must lie in (0, 2/pi), got {tol}")
+    return _real("ratio tolerance", tol, 0, GAUSSIAN_RATIO)
 
 
 def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
@@ -213,7 +210,7 @@ def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
     target: no power transform Gaussianizes the series.  A `tol` outside
     (0, 2/pi) is a ConfigurationError.
     """
-    _check_ratio_tol(tol)
+    tol = _check_ratio_tol(tol)
     vals = _checked_values(y)
     raw_ratio = _ratio(vals)
     if abs(raw_ratio - GAUSSIAN_RATIO) <= tol:
@@ -260,20 +257,19 @@ def fit_lambda(y, tol: float = DEFAULT_RATIO_TOL) -> float:
 
 
 def transform(y, lam: float) -> np.ndarray:
-    """Apply z = sgn(y) |y|^lam to a 1-D series; zero increments stay
-    exactly zero.  A non-positive lam is a ConfigurationError.
-
-    A finite value whose power leaves the float range raises
-    DegenerateSeriesError naming its index and lam.
-    """
-    if not lam > 0.0:
-        raise ConfigurationError(f"exponent must be positive, got {lam!r}")
+    """Apply z = sgn(y) |y|^lam to a 1-D series of any length; zero
+    increments stay exactly zero.  A lam that is not a finite positive real
+    number is a ConfigurationError, a non-finite value an InputFormatError
+    naming its index, and a value whose power leaves the float range a
+    DegenerateSeriesError naming its index and lam."""
+    lam = _real("exponent", lam, 0, math.inf)
     vals = _values(y)
     if vals.ndim != 1:
         raise InvalidSizeError(f"need a 1-D series, got shape {vals.shape}")
+    _finite(vals, "value")
     with np.errstate(over="ignore"):
-        z = _power_signed(vals, float(lam))
-    bad = np.flatnonzero(np.isinf(z) & np.isfinite(vals))
+        z = _power_signed(vals, lam)
+    bad = np.flatnonzero(np.isinf(z))
     if bad.size:
         raise DegenerateSeriesError(
             f"index {bad[0]}: |{float(vals[bad[0]])!r}|^lambda overflows at lambda = {lam!r}"

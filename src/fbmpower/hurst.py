@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import build_correlation, quadratic_form_logdet
-from .errors import ConfigurationError
+from .errors import _real
 from .gaussianize import _checked_values, _power_of_two_exponent
 
 __all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "estimate_hurst"]
@@ -60,22 +60,20 @@ def _score(vals: np.ndarray, r1: float, h: float, q_constant: float) -> tuple[fl
 
 
 def _make_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """The Hurst search grid; the one home of the grid-bound rule."""
-    if not (0.0 < start < stop < 1.0):
-        raise ConfigurationError(
-            f"grid bounds must satisfy 0 < start < stop < 1, got [{start}, {stop}]"
-        )
-    if not 0.01 <= step <= 0.1:
-        raise ConfigurationError(f"grid step must lie in [0.01, 0.1], got {step}")
+    """The Hurst search grid; the one home of the grid-bound rule, rounded ends included."""
+    start = _real("grid start", start, 0, 1)
+    stop = _real("grid stop", stop, start, 1)
+    step = _real("grid step", step, 0.01, 0.1, closed=True)
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    grid = start + step * np.arange(count)
-    return np.round(grid, 12)
+    grid = np.round(start + step * np.arange(count), 12)
+    for end, bound in ((grid[0], f"grid start {start!r}"), (grid[-1], f"grid stop {stop!r}")):
+        _real(f"the grid end for {bound}, rounded to 12 decimals,", float(end), 0, 1)
+    return grid
 
 
-def _check_q_constant(q_constant: float) -> None:
+def _check_q_constant(q_constant: float) -> float:
     """The one home of the q-constant rule."""
-    if not 0.0 < q_constant < math.inf:
-        raise ConfigurationError(f"q constant must be finite and positive, got {q_constant}")
+    return _real("q constant", q_constant, 0, math.inf)
 
 
 def estimate_hurst(
@@ -99,7 +97,7 @@ def estimate_hurst(
     ConfigurationError.
     """
     grid_h = _make_grid(grid_start, grid_stop, grid_step)
-    _check_q_constant(q_constant)
+    q_constant = _check_q_constant(q_constant)
     vals = _checked_values(z)
     r1 = float(np.mean(np.abs(vals)))
     scaled = np.ldexp(vals, -_power_of_two_exponent(vals))

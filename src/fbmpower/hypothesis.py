@@ -41,7 +41,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .correlation import check_hurst
-from .errors import ConfigurationError, DegenerateSeriesError
+from .errors import ConfigurationError, DegenerateSeriesError, _choice, _real
 from .gaussianize import _checked_values, _power_of_two_exponent
 
 __all__ = ["HypothesisStats", "Classification", "test_hypothesis", "classify"]
@@ -122,16 +122,18 @@ def _stat_D(vals: np.ndarray, v: np.ndarray, h: float) -> float:
     return float(vals.size ** (-2.0 * h) * np.sum(v * vals**3))
 
 
-def _check_settings(alpha: float, beta0: float, paper_constants: bool) -> None:
-    """The one home of the alpha, beta0 and paper-constants rules."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+def _check_settings(alpha: float, beta0: float, paper_constants: bool,
+                    require_delta: bool) -> tuple[float, float]:
+    """The one home of the alpha, beta0 and flag rules; returns alpha and beta0."""
+    alpha = _real("alpha", alpha, 0, 1)
+    beta0 = _real("beta0", beta0, 0, math.inf)
+    _choice("paper_constants", paper_constants, (False, True))
+    _choice("require_delta_on_persistent", require_delta, (False, True))
     if paper_constants and alpha != 0.1:
         raise ConfigurationError(
             f"the paper constants are the alpha = 0.1 quantiles, got alpha {alpha}"
         )
-    if not 0.0 < beta0 < math.inf:
-        raise ConfigurationError(f"beta0 must be finite and positive, got {beta0}")
+    return alpha, beta0
 
 
 def _thresholds(c: float, h: float, alpha: float, paper_constants: bool) -> tuple[float, float]:
@@ -195,15 +197,15 @@ def test_hypothesis(
     as in `estimate_hurst`: there no statistic leaves the float range, and
     the rescale is exact.  The statistics and thresholds are reported at the
     input's scale, scaled back by the same power of two; one that underflows
-    there reads 0.  Raises ConfigurationError for h_hat outside (0, 1), alpha
-    outside (0, 1), `paper_constants` with an alpha other than 0.1 or a beta0
-    that is not finite and positive, and the input errors of the checked
-    series (non-finite, too short, zero or infinite mean square).  A
-    DegenerateSeriesError marks a series whose reported statistics or
-    thresholds overflow.
+    there reads 0.  Raises ConfigurationError for an h_hat or alpha that is
+    not a real number in (0, 1), a beta0 that is not a finite positive real
+    number, a flag that is not a bool, or `paper_constants` with an alpha
+    other than 0.1, and the input errors of the checked series (non-finite,
+    too short, zero or infinite mean square).  A DegenerateSeriesError marks
+    a series whose reported statistics or thresholds overflow.
     """
-    check_hurst(h_hat)
-    _check_settings(alpha, beta0, paper_constants)
+    h_hat = check_hurst(h_hat)
+    alpha, beta0 = _check_settings(alpha, beta0, paper_constants, require_delta_on_persistent)
     vals = _checked_values(z)
     c = float(np.mean(vals * vals))
     exponent = _power_of_two_exponent(vals)
@@ -241,7 +243,7 @@ def test_hypothesis(
         a_limit=a_limit,
         delta=delta,
         sigma=sigma,
-        h_used=float(h_hat),
+        h_used=h_hat,
         branch=branch,
         b_n=b_n,
         d_n_stat=d_n,
@@ -259,9 +261,8 @@ def classify(h_hat: float, verdict: str) -> Classification:
     A forecast is supported only by an accepted persistent model; a rejected
     model never is, whatever its exponent.
     """
-    check_hurst(h_hat)
-    if verdict not in ("accepted", "rejected"):
-        raise ConfigurationError(f"unknown verdict {verdict!r}")
+    h_hat = check_hurst(h_hat)
+    _choice("verdict", verdict, ("accepted", "rejected"))
     if h_hat < 0.5:
         persistence, noise, memory = "antipersistent", "pink", "short"
     elif h_hat > 0.5:

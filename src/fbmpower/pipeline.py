@@ -25,11 +25,11 @@ from . import hurst as hu
 from . import hypothesis as hyp
 from .errors import (
     AnalysisError,
-    ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
     InvalidSizeError,
     UnfittableSeriesError,
+    _choice,
 )
 
 __all__ = [
@@ -78,9 +78,7 @@ class RawSeries:
             raise InvalidSizeError(
                 f"series needs at least {MIN_SERIES_LENGTH} observations, got {values.size}"
             )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InputFormatError(f"index {bad[0]}: non-finite value {float(values[bad[0]])}")
+        gz._finite(values, "value")
         if len({t.utcoffset() is None for t in self.timestamps}) > 1:
             raise InputFormatError("timestamps must be all naive or all carry a UTC offset")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -113,8 +111,9 @@ class AnalysisConfig:
         hu._make_grid(self.grid_start, self.grid_stop, self.grid_step)
         hu._check_q_constant(self.q_constant)
         gz._check_ratio_tol(self.ratio_tol)
-        hyp._check_settings(self.alpha, self.beta0, self.paper_constants)
-        _check_gap_policy(self.gap_policy)
+        hyp._check_settings(self.alpha, self.beta0, self.paper_constants,
+                            self.require_delta_on_persistent)
+        _choice("gap policy", self.gap_policy, GAP_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries
     limit among them), or a duplicate timestamp.  A UTF-8 byte-order mark is
     skipped.
     """
-    _check_gap_policy(gap_policy)
+    _choice("gap policy", gap_policy, GAP_POLICIES)
     with _open_utf8(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -207,12 +206,6 @@ def _open_utf8(path, newline=None):
             line = data.count(b"\n", 0, exc.start) + 1
             raise InputFormatError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
         raise
-
-
-def _check_gap_policy(gap_policy: str) -> None:
-    """The one home of the gap-policy rule."""
-    if gap_policy not in GAP_POLICIES:
-        raise ConfigurationError(f"gap policy must be one of {GAP_POLICIES}, got {gap_policy!r}")
 
 
 def _parse_long_csv(reader, gap_policy: str) -> tuple[list[RawSeries], list[str]]:
@@ -463,8 +456,7 @@ def render_report(reports, fmt: str = "json") -> str:
     "csv" flattens the same fields; "md" is a table of the headline
     statistics plus the verdict.
     """
-    if fmt not in REPORT_FORMATS:
-        raise ConfigurationError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
+    _choice("format", fmt, REPORT_FORMATS)
     ordered = sorted(reports, key=lambda r: (r.building_id, r.quantity))
     rows = [{key: getattr(r, name) for name, key in _REPORT_FIELDS} for r in ordered]
     if fmt == "json":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _correlation_row, _dense_toeplitz, check_hurst, increment_correlation
-from .errors import CirculantEmbeddingError, ConfigurationError, IllConditionedError
+from .errors import CirculantEmbeddingError, IllConditionedError, _choice, _integer
 
 __all__ = ["FbmPath", "simulate_fbm"]
 
@@ -98,11 +98,11 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     Parameters
     ----------
     h : float
-        Hurst exponent, strictly inside (0, 1).
+        Hurst exponent, a real number strictly inside (0, 1).
     n : int
-        Number of grid steps; the path has n + 1 points and starts at 0.
+        Number of grid steps, an integer >= 2; the path has n + 1 points from 0.
     seed : int
-        Seed (>= 0) for the PCG64 generator; same inputs give identical output.
+        Seed (an integer >= 0) for the PCG64 generator; same inputs give identical output.
     method : {"circulant", "cholesky"}
         "circulant" (FFT, the default) or "cholesky" (dense, O(n^3)); both
         are exact, and "cholesky" is kept only as a test oracle.
@@ -110,7 +110,7 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     Raises
     ------
     ConfigurationError
-        If h, n, seed or method is outside the ranges above.
+        If h, n, seed or method is outside the ranges above, or n or seed is a float.
     CirculantEmbeddingError
         If the embedding has a materially negative eigenvalue, which
         rounding in the correlation row causes as H nears 1 and n grows.
@@ -118,17 +118,13 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
         factorization fails too, with IllConditionedError.
     """
     h = check_hurst(h)
-    n = int(n)
-    if n < 2:
-        raise ConfigurationError(f"need n >= 2 grid steps, got {n}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if method not in ("cholesky", "circulant"):
-        raise ConfigurationError(f"unknown method {method!r}")
+    n = _integer("n", n, 2)
+    seed = _integer("seed", seed, 0)
+    _choice("method", method, ("circulant", "cholesky"))
     rng = np.random.default_rng(seed)
     fgn = _fgn_cholesky(h, n, rng) if method == "cholesky" else _fgn_circulant(h, n, rng)
     values = np.empty(n + 1)
     values[0] = 0.0
     # Grid spacing 1/n scales each unit-variance increment by n^-H.
     np.cumsum(fgn * float(n) ** (-h), out=values[1:])
-    return FbmPath(hurst=h, n=n, seed=int(seed), method=method, values=values)
+    return FbmPath(hurst=h, n=n, seed=seed, method=method, values=values)

@@ -395,6 +395,11 @@ RAMP_OUTCOMES = {"ramp-1e-4": ("rejected", 0.6), "ramp-1e-6": (None, None)}
                                    "--paper-constants"], 3, id="alpha-0.05-paper-constants"),
         pytest.param(None, ["simulate", "--hurst", "0.5", "--n", "8", "--seed", "-1"], 3,
                      id="seed"),
+        # The first or last grid point rounds to 0 or 1 at 12 decimals.
+        pytest.param(analysis_csv, ["analyze", "--grid-start", "1e-13"], 3,
+                     id="analyze-grid-start-rounds-to-0"),
+        pytest.param(analysis_csv, ["analyze", "--grid-stop", "0.9999999999999"], 3,
+                     id="analyze-grid-stop-rounds-to-1"),
         pytest.param(lambda tmp_path: write_increments(tmp_path / "pm.csv", [1.0, -1.0] * 8),
                      ["gaussianize"], 1, id="unfittable"),
         pytest.param(non_utf8_file, ["analyze"], 2, id="analyze-non-utf8"),

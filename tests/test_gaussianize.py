@@ -235,7 +235,7 @@ class TestTransform:
         assert np.array_equal(z, [4.0, -4.0])
 
     def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ConfigurationError, match="exponent must be positive"):
+        with pytest.raises(ConfigurationError, match=r"^exponent must lie in \(0, inf\)"):
             transform(np.ones(8), 0.0)
 
     def test_two_dimensional_rejected(self):
@@ -256,6 +256,10 @@ class TestTransform:
     def test_overflow_names_its_index_and_exponent(self):
         with pytest.raises(DegenerateSeriesError, match=r"index 1: \|-1e\+200\|\^lambda .* 2\.0"):
             transform(np.array([1.0, -1e200, 1e300]), 2.0)
+
+    def test_non_finite_value_named(self):
+        with pytest.raises(InputFormatError, match=r"^index 0: non-finite value nan$"):
+            transform(np.array([np.nan, 1.0, -2.0]), 1.5)
 
     def test_subnormal_magnitudes_flushed_to_zero(self):
         z = transform(np.array([1e-310, 1.0, -1e-320]), 2.0)

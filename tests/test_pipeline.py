@@ -327,6 +327,7 @@ class TestAnalysisConfig:
             dict(beta0=float("inf")),
             dict(ratio_tol=float("inf")),
             dict(alpha=0.05, paper_constants=True),
+            dict(grid_stop=0.9999999999999),
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidSizeError, _integer, _real
+from .errors import DegenerateSeriesError, IllConditionedError, InvalidSizeError, _integer, _real
+from .gaussianize import _array
 
 __all__ = [
     "check_hurst",
@@ -61,12 +62,15 @@ def increment_correlation(h: float, lag: int) -> float:
 
 def build_correlation(h: float, m: int) -> np.ndarray:
     """First row (lags 0..m-1) of the correlation of m increments at Hurst
-    exponent h."""
+    exponent h; an m that is not an int >= 2 numpy can allocate is an
+    InvalidSizeError."""
     h = check_hurst(h)
-    m = int(m)
-    if m < 2:
-        raise InvalidSizeError(f"need at least 2 increments, got m={m}")
-    return _correlation_row(h, m)
+    if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 2:
+        try:
+            return _correlation_row(h, m)
+        except ValueError:  # more lags than an array can hold
+            pass
+    raise InvalidSizeError(f"need an integer m >= 2 that fits in an array, got m={m!r}")
 
 
 def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -84,15 +88,12 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
     """
     n = row.size
     diag = row[0]
-    if not np.isfinite(diag) or diag <= 0.0:
+    if diag <= 0.0:
         raise IllConditionedError(f"non-positive diagonal {float(diag)!r}")
     r = row[1:] / diag  # normalized off-diagonal lags
     lags = r.tolist()  # Python floats: the same arithmetic, less overhead
     generators = np.zeros((2, n))
     generators[0, 0] = 1.0
-    if n == 1:
-        return generators, 1.0, float(np.log(diag))
-
     w = generators[1, 1:]
     w[-1] = alpha = -lags[0]
     beta = 1.0
@@ -132,19 +133,24 @@ def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]
     a rounding-level negative difference is clamped to 0.  A non-positive
     prediction variance raises IllConditionedError at once.  The grid's rows
     never reach one: their smallest variance is 0.22 at H = 0.95, m = 16384.
+    Both arguments pass the array rule with at least 2 values, of one length,
+    and a z whose form overflows is a DegenerateSeriesError.
     """
-    row = np.asarray(row, dtype=float)
-    z = np.asarray(z, dtype=float)
+    row = _array(row, 2)
+    z = _array(z, 2)
     if z.size != row.size:
         raise InvalidSizeError(f"z length {z.size} does not match correlation size {row.size}")
     generators, beta, logdet = _durbin(row)
     n = row.size
     size = 1 << (2 * n - 1).bit_length()
     spectra = np.fft.rfft(generators, size)
-    head, tail = np.fft.irfft(np.fft.rfft(z, size) * spectra.conj(), size)[:, :n]
-    # u = g * beta * row[0], so the scale of u and 1/g_0 leave one division.
-    quad = (np.dot(head, head) - np.dot(tail, tail)) / (beta * row[0])
-    return max(float(quad), 0.0), logdet
+    with np.errstate(over="ignore", invalid="ignore"):
+        head, tail = np.fft.irfft(np.fft.rfft(z, size) * spectra.conj(), size)[:, :n]
+        # u = g * beta * row[0], so the scale of u and 1/g_0 leave one division.
+        quad = float((np.dot(head, head) - np.dot(tail, tail)) / (beta * row[0]))
+    if not math.isfinite(quad):
+        raise DegenerateSeriesError("z' S^-1 z overflows: the values of z are too large")
+    return max(quad, 0.0), logdet
 
 
 def _dense_toeplitz(row: np.ndarray) -> np.ndarray:

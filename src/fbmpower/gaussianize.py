@@ -66,44 +66,41 @@ class IncrementSeries:
 
 
 def _floats(x) -> np.ndarray:
-    """x as a float array; an object that does not convert is an
-    InputFormatError naming its type."""
+    """x as a float array; None (numpy reads NaN), complex values (it drops the
+    imaginary part) or an object that does not convert is an InputFormatError."""
     try:
-        return np.asarray(x, dtype=float)
+        if x is not None and not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise InputFormatError(f"expected an array of floats, got {type(x).__name__}") from None
+        pass
+    raise InputFormatError(f"expected an array of floats, got {type(x).__name__}")
 
 
-def _values(series) -> np.ndarray:
-    """A stage's input as a float array.  Only an IncrementSeries is
-    unwrapped: the values of an FbmPath or a RawSeries are levels, not
-    increments, so those raise InputFormatError instead of giving a
-    plausible wrong answer."""
-    return _floats(series.values if isinstance(series, IncrementSeries) else series)
-
-
-def _finite(vals: np.ndarray, what: str) -> np.ndarray:
-    """vals; a non-finite value is an InputFormatError naming its index."""
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise InputFormatError(f"index {bad[0]}: non-finite {what} {float(vals[bad[0]])}")
+def _array(x, floor: int, what: str = "value") -> np.ndarray:
+    """The array rule: x as a 1-D float array of at least `floor` finite values.
+    InputFormatError names the type that does not convert or the non-finite
+    `what`'s index; InvalidSizeError names any other shape and the floor."""
+    vals = _floats(x)
+    if vals.ndim != 1 or vals.size < floor:
+        raise InvalidSizeError(f"need a 1-D series of at least {floor} values, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        i = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise InputFormatError(f"index {i}: non-finite {what} {float(vals[i])}")
     return vals
 
 
-def _checked_values(series) -> np.ndarray:
-    """The series as a 1-D float array that every statistic can use.
+def _values(series, floor: int) -> np.ndarray:
+    """A stage's input through the array rule.  Only an IncrementSeries is
+    unwrapped: an FbmPath or a RawSeries holds levels, not increments, so
+    those raise InputFormatError instead of giving a plausible wrong answer."""
+    return _array(series.values if isinstance(series, IncrementSeries) else series, floor)
 
-    Raises InvalidSizeError unless it is 1-D with at least MIN_INCREMENTS
-    values, InputFormatError on a non-finite value, naming its index, and
-    DegenerateSeriesError when mean(v*v) is 0 (all zeros, or values so small
-    that their squares underflow) or infinite (squares that overflow).
-    """
-    vals = _values(series)
-    if vals.ndim != 1 or vals.size < MIN_INCREMENTS:
-        raise InvalidSizeError(
-            f"need a 1-D series of at least {MIN_INCREMENTS} values, got shape {vals.shape}"
-        )
-    _finite(vals, "value")
+
+def _checked_values(series) -> np.ndarray:
+    """The series, through the array rule with MIN_INCREMENTS values, as an
+    array every statistic can use: a mean(v*v) of 0 (all zeros, or squares
+    that underflow) or infinite (squares that overflow) is degenerate."""
+    vals = _values(series, MIN_INCREMENTS)
     with np.errstate(over="ignore"):
         mean_sq = float(np.mean(vals * vals))
     if mean_sq == 0.0:
@@ -124,15 +121,11 @@ def _power_of_two_exponent(vals: np.ndarray) -> int:
 
 
 def increments(x) -> IncrementSeries:
-    """First differences of a 1-D series of at least 9 points; a difference
-    that is not finite is an InputFormatError naming its index.  Pass an
-    array of levels, such as an FbmPath's values, not the FbmPath itself."""
-    x = _floats(x)
-    if x.ndim != 1 or x.size < MIN_INCREMENTS + 1:
-        raise InvalidSizeError(
-            f"need at least {MIN_INCREMENTS + 1} observations in 1-D, got shape {x.shape}"
-        )
-    return IncrementSeries(values=_finite(np.diff(x), "increment"))
+    """First differences of a series, through the array rule with 9 points;
+    an overflowing difference is an InputFormatError naming its index.  Pass
+    an array of levels, such as an FbmPath's values, not the FbmPath itself."""
+    with np.errstate(over="ignore"):
+        return IncrementSeries(_array(np.diff(_array(x, MIN_INCREMENTS + 1)), 0, "increment"))
 
 
 def _ratio(vals: np.ndarray) -> float:
@@ -263,10 +256,7 @@ def transform(y, lam: float) -> np.ndarray:
     naming its index, and a value whose power leaves the float range a
     DegenerateSeriesError naming its index and lam."""
     lam = _real("exponent", lam, 0, math.inf)
-    vals = _values(y)
-    if vals.ndim != 1:
-        raise InvalidSizeError(f"need a 1-D series, got shape {vals.shape}")
-    _finite(vals, "value")
+    vals = _values(y, 0)
     with np.errstate(over="ignore"):
         z = _power_signed(vals, lam)
     bad = np.flatnonzero(np.isinf(z))

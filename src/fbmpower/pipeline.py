@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime
@@ -61,7 +62,8 @@ REPORT_FORMATS = ("json", "csv", "md")
 
 @dataclass(frozen=True)
 class RawSeries:
-    """One observed hourly series for a (building, quantity) pair."""
+    """One observed hourly series for a (building, quantity) pair; its values
+    pass the array rule with at least 9, one per increasing timestamp."""
 
     building_id: str
     quantity: str
@@ -69,16 +71,11 @@ class RawSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
         if self.quantity not in QUANTITIES:
             raise InputFormatError(f"quantity must be one of {QUANTITIES}, got {self.quantity!r}")
-        if values.ndim != 1 or values.size != len(self.timestamps):
-            raise InvalidSizeError("values must be one-dimensional, one per timestamp")
-        if values.size < MIN_SERIES_LENGTH:
-            raise InvalidSizeError(
-                f"series needs at least {MIN_SERIES_LENGTH} observations, got {values.size}"
-            )
-        gz._finite(values, "value")
+        values = gz._array(self.values, MIN_SERIES_LENGTH)
+        if values.size != len(self.timestamps):
+            raise InvalidSizeError(f"got {values.size} values for {len(self.timestamps)} timestamps")
         if len({t.utcoffset() is None for t in self.timestamps}) > 1:
             raise InputFormatError("timestamps must be all naive or all carry a UTC offset")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
@@ -179,7 +176,8 @@ def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries
     Raises InputFormatError, with the offending line number, on a missing
     or wrong header, an unparsable row (a field over the csv module's size
     limit among them), or a duplicate timestamp.  A UTF-8 byte-order mark is
-    skipped.
+    skipped.  A path that is not a str, bytes or os.PathLike (never a file
+    descriptor), or cannot be opened, is an InputFormatError naming it.
     """
     _choice("gap policy", gap_policy, GAP_POLICIES)
     with _open_utf8(path, newline="") as handle:
@@ -192,10 +190,14 @@ def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries
 
 @contextmanager
 def _open_utf8(path, newline=None):
-    """Open a UTF-8 text file, skipping a byte-order mark; reading a byte that
-    is not UTF-8 raises InputFormatError naming its line."""
+    """Open a UTF-8 text file, skipping a byte-order mark; a bad path and a
+    byte that is not UTF-8 raise InputFormatError naming the path or line."""
     try:
-        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+        handle = open(os.fspath(path), newline=newline, encoding="utf-8-sig")
+    except (TypeError, ValueError, OSError) as exc:  # an int is not opened as a descriptor
+        raise InputFormatError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
+    try:
+        with handle:
             yield handle
     except UnicodeDecodeError:
         with open(path, "rb") as handle:
@@ -334,8 +336,9 @@ def _apply_gap_policy(stamps, values, gap_policy) -> tuple[np.ndarray, str]:
 
 
 def normalize(values) -> np.ndarray:
-    """The series affinely mapped onto [0, 1]; a constant series is degenerate."""
-    values = np.asarray(values, dtype=float)
+    """The series, through the array rule, affinely mapped onto [0, 1]; a
+    constant series is degenerate."""
+    values = gz._array(values, 1)
     lo = float(values.min())
     hi = float(values.max())
     if hi == lo:
@@ -346,19 +349,22 @@ def normalize(values) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def detrend(values) -> np.ndarray:
     """Residuals of the series about its least-squares line over the sample
-    index."""
-    values = np.asarray(values, dtype=float)
+    index; the series must pass the array rule with at least 9 values, and
+    a line or residual that overflows is a DegenerateSeriesError."""
+    values = gz._array(values, MIN_SERIES_LENGTH)
     n = values.size
-    if n < MIN_SERIES_LENGTH:
-        raise InvalidSizeError(f"need at least {MIN_SERIES_LENGTH} observations, got {n}")
     k = np.arange(n, dtype=float)
     k_mean = k.mean()
     v_mean = values.mean()
     slope = float(np.dot(k - k_mean, values - v_mean) / np.dot(k - k_mean, k - k_mean))
     intercept = float(v_mean - slope * k_mean)
-    return values - (intercept + slope * k)
+    residuals = values - (intercept + slope * k)
+    if not np.isfinite(residuals).all():
+        raise DegenerateSeriesError("the least-squares line overflows: values are too large")
+    return residuals
 
 
 def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> BuildingReport:
@@ -450,13 +456,17 @@ def _md_cell(text: str) -> str:
 
 
 def render_report(reports, fmt: str = "json") -> str:
-    """Render reports deterministically, ordered by (building, quantity).
+    """Render BuildingReports deterministically, ordered by (building, quantity).
 
     "json" nests every report field under a schema-versioned document;
     "csv" flattens the same fields; "md" is a table of the headline
-    statistics plus the verdict.
+    statistics plus the verdict.  Any other item is an InputFormatError.
     """
     _choice("format", fmt, REPORT_FORMATS)
+    reports = list(reports)
+    for i, item in enumerate(reports):
+        if not isinstance(item, BuildingReport):
+            raise InputFormatError(f"item {i}: expected a BuildingReport, got {type(item).__name__}")
     ordered = sorted(reports, key=lambda r: (r.building_id, r.quantity))
     rows = [{key: getattr(r, name) for name, key in _REPORT_FIELDS} for r in ordered]
     if fmt == "json":

@@ -1,5 +1,6 @@
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from fbmpower.gaussianize import (
     kurtosis_ratio,
     transform,
 )
-from fbmpower.pipeline import RawSeries
+from fbmpower.hurst import build_correlation, quadratic_form_logdet
+from fbmpower.pipeline import RawSeries, detrend, load_csv, normalize, render_report
 from fbmpower.simulate import simulate_fbm
 
 
@@ -50,8 +52,12 @@ class TestIncrements:
     def test_non_finite_difference_named(self):
         x = np.arange(12.0)
         x[4] = np.inf
-        with pytest.raises(InputFormatError, match="index 3: non-finite increment inf"):
+        with pytest.raises(InputFormatError, match="index 4: non-finite value inf"):
             increments(x)
+
+    def test_overflowing_difference_named(self):
+        with pytest.raises(InputFormatError, match="index 0: non-finite increment -inf"):
+            increments([1e308, -1e308] * 5)
 
     @pytest.mark.parametrize("x", [simulate_fbm(0.3, 16, 0), object(), "abc"],
                              ids=["FbmPath", "object", "str"])
@@ -249,6 +255,9 @@ class TestTransform:
         assert np.array_equal(np.sign(z), np.sign(y))
         assert np.array_equal(np.argsort(z), np.argsort(y))
 
+    def test_empty_series_gives_empty(self):
+        assert transform([], 1.0).shape == (0,)
+
     def test_zero_maps_to_zero_exactly(self):
         z = transform(np.array([0.0, 1.0, -1.0, 0.0]), 0.7)
         assert z[0] == 0.0 and z[3] == 0.0
@@ -272,9 +281,21 @@ def _with_value_at_5(value):
     return v
 
 
+# Bad arrays that every public function taking an array rejects alike.
+BAD_ARRAYS = {
+    "nan": (_with_value_at_5(np.nan), InputFormatError, "index 5: non-finite value nan"),
+    "inf": (_with_value_at_5(np.inf), InputFormatError, "index 5: non-finite value inf"),
+    "two_dim": (np.ones((8, 8)), InvalidSizeError, r"1-D .* got shape \(8, 8\)"),
+    "none": (None, InputFormatError, "NoneType"),
+    "str": ("abc", InputFormatError, "got str"),
+    "empty": ([], InvalidSizeError, r"shape \(0,\)"),
+    "ragged": ([[1.0, 2.0], [3.0]], InputFormatError, "got list"),
+    # numpy would drop the imaginary parts with a warning.
+    "complex": (np.full(64, 1.0 + 1.0j), InputFormatError, "got ndarray"),
+}
+
+# Bad series that only the statistics reject: their mean square is unusable.
 BAD_SERIES = {
-    "nan": (_with_value_at_5(np.nan), InputFormatError, "index 5"),
-    "inf": (_with_value_at_5(np.inf), InputFormatError, "index 5"),
     # Every square underflows to 0, so the mean square is exactly 0.
     "underflow": (np.random.default_rng(0).standard_normal(64) * 1e-170,
                   DegenerateSeriesError, "mean square"),
@@ -282,7 +303,6 @@ BAD_SERIES = {
     # Every square overflows to inf, so the mean square is infinite.
     "overflow": (np.random.default_rng(0).standard_normal(64) * 1e200,
                  DegenerateSeriesError, "mean square"),
-    "two_dim": (np.ones((8, 8)), InvalidSizeError, "1-D"),
 }
 
 ENTRY_POINTS = {
@@ -292,10 +312,61 @@ ENTRY_POINTS = {
     "test_hypothesis": lambda v: hyp.test_hypothesis(v, 0.7),
 }
 
+_STAMPS = tuple(datetime(2024, 1, 1) + timedelta(hours=k) for k in range(64))
 
-@pytest.mark.parametrize("case", sorted(BAD_SERIES))
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_bad_series_raise_the_same_typed_error_everywhere(entry, case):
-    values, error, message = BAD_SERIES[case]
+ARRAY_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "increments": increments,
+    "transform": lambda v: transform(v, 1.0),
+    "normalize": normalize,
+    "detrend": detrend,
+    "RawSeries": lambda v: RawSeries("b", "P", _STAMPS, v),
+    "quadratic_form_logdet-row": lambda v: quadratic_form_logdet(v, np.ones(64)),
+    "quadratic_form_logdet-z": lambda v: quadratic_form_logdet(build_correlation(0.3, 64), v),
+}
+
+# Calls that take something other than an array, each with its error.
+BAD_CALLS = {
+    "build_correlation-64.7": (lambda: build_correlation(0.3, 64.7), InvalidSizeError, "m=64.7"),
+    "build_correlation-str": (lambda: build_correlation(0.3, "a"), InvalidSizeError, "m='a'"),
+    "build_correlation-True": (lambda: build_correlation(0.3, True), InvalidSizeError, "m=True"),
+    "build_correlation-10**30": (lambda: build_correlation(0.3, 10**30), InvalidSizeError,
+                                 "fits in an array"),
+    # A line or a form past the float range, from finite values.
+    "detrend-overflow": (lambda: detrend([1.7e308] * 9), DegenerateSeriesError, "overflows"),
+    "quadratic_form_logdet-overflow": (
+        lambda: quadratic_form_logdet(build_correlation(0.3, 64), np.full(64, 1e160)),
+        DegenerateSeriesError, "overflows"),
+    "render_report-int": (lambda: render_report([1]), InputFormatError,
+                          "item 0: expected a BuildingReport, got int"),
+    "render_report-None": (lambda: render_report([None]), InputFormatError, "got NoneType"),
+    "render_report-str": (lambda: render_report("json"), InputFormatError, "got str"),
+    "load_csv-None": (lambda: load_csv(None), InputFormatError, "cannot read None"),
+    "load_csv-True": (lambda: load_csv(True), InputFormatError, "cannot read True"),
+    "load_csv-missing": (lambda: load_csv(Path("absent", "x.csv")), InputFormatError,
+                         "No such file"),
+    "load_csv-directory": (lambda: load_csv(Path(__file__).parent), InputFormatError,
+                           "Is a directory"),
+}
+
+
+def _rejects(entry, values):
+    return lambda: ARRAY_ENTRY_POINTS[entry](values)
+
+
+CASES = {
+    # transform takes a 1-D series of any length, the empty one included.
+    **{f"{entry}-{case}": (_rejects(entry, values), error, message)
+       for entry in ARRAY_ENTRY_POINTS for case, (values, error, message) in BAD_ARRAYS.items()
+       if (entry, case) != ("transform", "empty")},
+    **{f"{entry}-{case}": (_rejects(entry, values), error, message)
+       for entry in ENTRY_POINTS for case, (values, error, message) in BAD_SERIES.items()},
+    **BAD_CALLS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_series_raise_the_same_typed_error_everywhere(case):
+    call, error, message = CASES[case]
     with pytest.raises(error, match=message):
-        ENTRY_POINTS[entry](values)
+        call()

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import time
 from dataclasses import replace
@@ -112,7 +113,7 @@ class TestRawSeries:
 
     def test_rejects_two_dimensional_values(self):
         stamps = tuple(datetime(2024, 1, 1, k) for k in range(16))
-        with pytest.raises(InvalidSizeError, match="one-dimensional"):
+        with pytest.raises(InvalidSizeError, match="1-D"):
             RawSeries("b", "P", stamps, np.arange(16.0).reshape(4, 4))
 
     def test_rejects_naive_and_aware_timestamps(self):
@@ -173,6 +174,18 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "data.csv", hourly_rows("b", "P", range(9)), header="")
         with pytest.raises(InputFormatError, match="line 1"):
             load_csv(path)
+
+    def test_a_descriptor_is_not_a_path(self):
+        # open() would take an int as a file descriptor, read it and close it.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"timestamp,building,quantity,value\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(InputFormatError, match=f"cannot read {read_end}: .* not int"):
+                load_csv(read_end)
+            assert os.read(read_end, 9) == b"timestamp"
+        finally:
+            os.close(read_end)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -512,3 +525,20 @@ def test_every_raise_is_typed():
             if not (isinstance(built, ast.Name) and built.id in typed):
                 untyped.append(f"{path.name}:{node.lineno}")
     assert untyped == []
+
+
+def test_only_the_array_rule_calls_asarray():
+    """np.asarray is called in gaussianize._floats alone, so every array
+    reaches the program through the one array rule."""
+    found = []
+    for path in sorted(Path(fbmpower.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {node for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_floats"
+                  for node in ast.walk(func)}
+        found += [
+            (path.name, node.lineno, node in inside) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "asarray" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    assert [(name, inside) for name, _, inside in found] == [("gaussianize.py", True)], found

@@ -2,7 +2,9 @@
 `analyze`, end in a documented exit code, with no traceback, no numpy
 warning and no NaN or Infinity; the Toeplitz solve matches a dense one at
 any diagonal scale; and the estimate and verdict do not depend on the
-scale of the series."""
+scale of the series; and any nested list or array of floats, NaN, inf or
+strings given to a public function that takes an array ends in a result or
+an AnalysisError."""
 
 import json
 import re
@@ -16,11 +18,14 @@ from oracles import dense_quadratic_form
 import fbmpower.hypothesis as hyp
 from fbmpower.cli import main
 from fbmpower.correlation import _dense_toeplitz, build_correlation, quadratic_form_logdet
+from fbmpower.errors import AnalysisError
 from fbmpower.hurst import estimate_hurst
 from fbmpower.simulate import _fgn_circulant
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+from test_gaussianize import ARRAY_ENTRY_POINTS  # noqa: E402
 
 # Arguments of each command and the exit codes it may end with.
 COMMANDS = {
@@ -153,3 +158,24 @@ def test_estimate_and_verdict_do_not_depend_on_scale(h, seed, k):
     assert scaled_est.h_hat == est.h_hat
     assert (hyp.test_hypothesis(scaled, scaled_est.h_hat).verdict
             == hyp.test_hypothesis(z, est.h_hat).verdict)
+
+
+# Any float or a short string, and nestings of them; arrays of the lengths
+# the entry points need (64 for RawSeries and the quadratic form) or not.
+cells = st.one_of(st.floats(), st.text(max_size=3))
+array_inputs = st.one_of(
+    st.recursive(cells, lambda inner: st.lists(inner, max_size=10), max_leaves=80),
+    hnp.arrays(float, st.sampled_from([(0,), (9,), (64,), (8, 8), (70,)]),
+               elements=st.floats()),
+    hnp.arrays(float, 64, elements=st.floats(allow_nan=False, allow_infinity=False)),
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(values=array_inputs)
+def test_any_array_ends_in_a_result_or_an_analysis_error(entry, values):
+    try:
+        ARRAY_ENTRY_POINTS[entry](values)
+    except AnalysisError:
+        pass

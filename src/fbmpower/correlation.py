@@ -62,13 +62,15 @@ def increment_correlation(h: float, lag: int) -> float:
 
 def build_correlation(h: float, m: int) -> np.ndarray:
     """First row (lags 0..m-1) of the correlation of m increments at Hurst
-    exponent h; an m that is not an int >= 2 numpy can allocate is an
-    InvalidSizeError."""
+    exponent h; exactly m lags, or an InvalidSizeError for an m that is not
+    an int >= 2 numpy can allocate."""
     h = check_hurst(h)
     if isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 2:
         try:
-            return _correlation_row(h, m)
-        except ValueError:  # more lags than an array can hold
+            row = _correlation_row(h, m)
+            if row.size == m:  # numpy wraps some sizes past 2**63 to an empty arange
+                return row
+        except (ValueError, MemoryError):  # more lags than an array can hold
             pass
     raise InvalidSizeError(f"need an integer m >= 2 that fits in an array, got m={m!r}")
 
@@ -90,6 +92,15 @@ def _durbin(row: np.ndarray) -> tuple[np.ndarray, float, float]:
     diag = row[0]
     if diag <= 0.0:
         raise IllConditionedError(f"non-positive diagonal {float(diag)!r}")
+    # A positive-definite row has |row[k]| <= row[0], which also keeps the
+    # division below finite.
+    past = np.flatnonzero(np.abs(row[1:]) > diag)
+    if past.size:
+        k = int(past[0]) + 1
+        raise IllConditionedError(
+            f"lag {k}: |{float(row[k])!r}| exceeds the diagonal {float(diag)!r}: "
+            "matrix is not positive definite"
+        )
     r = row[1:] / diag  # normalized off-diagonal lags
     lags = r.tolist()  # Python floats: the same arithmetic, less overhead
     generators = np.zeros((2, n))
@@ -130,8 +141,9 @@ def quadratic_form_logdet(row: np.ndarray, z: np.ndarray) -> tuple[float, float]
 
     where Z shifts down by one.  Both products are correlations of z, done
     with rfft/irfft of a power-of-two length >= 2m, so no term wraps around;
-    a rounding-level negative difference is clamped to 0.  A non-positive
-    prediction variance raises IllConditionedError at once.  The grid's rows
+    a rounding-level negative difference is clamped to 0.  A lag larger than
+    the diagonal or a non-positive prediction variance raises
+    IllConditionedError at once.  The grid's rows
     never reach one: their smallest variance is 0.22 at H = 0.95, m = 16384.
     Both arguments pass the array rule with at least 2 values, of one length,
     and a z whose form overflows is a DegenerateSeriesError.

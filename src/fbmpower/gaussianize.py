@@ -110,14 +110,19 @@ def _checked_values(series) -> np.ndarray:
     return vals
 
 
-def _power_of_two_exponent(vals: np.ndarray) -> int:
-    """The exponent e for which vals * 2**-e has max|value| in [0.5, 1).
+def _at_verdict_scale(series) -> tuple[np.ndarray, np.ndarray, int]:
+    """(vals, scaled, e): the checked series, and vals * 2**-e with
+    max|scaled| in [0.5, 1).
 
-    The Hurst grid and the hypothesis test run on the series scaled so.  A
-    power-of-two rescale is exact, and at that scale their products neither
-    overflow nor lose precision to subnormals, whatever the input's scale.
+    The Hurst grid and the hypothesis test run on `scaled`.  A power-of-two
+    rescale is exact, and at that scale their products neither overflow nor
+    lose precision to subnormals, whatever the input's scale.  q and the
+    verdict do not depend on the scale, and a statistic homogeneous of
+    degree d in z is the input's statistic times 2**(-d*e).
     """
-    return int(np.frexp(np.max(np.abs(vals)))[1])
+    vals = _checked_values(series)
+    exponent = int(np.frexp(np.max(np.abs(vals)))[1])
+    return vals, np.ldexp(vals, -exponent), exponent
 
 
 def increments(x) -> IncrementSeries:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .correlation import build_correlation, quadratic_form_logdet
 from .errors import _real
-from .gaussianize import _checked_values, _power_of_two_exponent
+from .gaussianize import _at_verdict_scale
 
 __all__ = ["DEFAULT_Q_CONSTANT", "HurstEstimate", "estimate_hurst"]
 
@@ -87,10 +87,8 @@ def estimate_hurst(
 
     The selected exponent minimizes the Gaussian profile objective over the
     grid (ties resolve to the smaller H); the q score of every grid point is
-    kept for reporting, with `r1` = mean|z| of the input.  The grid runs on
-    z times the power of two that brings max|z| into [0.5, 1).  That rescale
-    is exact, so q keeps its bits, and the solves neither overflow nor lose
-    precision to subnormals at any scale the series check admits.  Identical
+    kept for reporting, with `r1` = mean|z| of the input.  The grid runs at
+    the scale `_at_verdict_scale` gives, where q keeps its bits.  Identical
     inputs give identical estimates.  The input errors are those of the
     checked series (non-finite, too short, zero or infinite mean square);
     bad grid bounds or a `q_constant` that is not finite and positive raise
@@ -98,9 +96,8 @@ def estimate_hurst(
     """
     grid_h = _make_grid(grid_start, grid_stop, grid_step)
     q_constant = _check_q_constant(q_constant)
-    vals = _checked_values(z)
+    vals, scaled, _ = _at_verdict_scale(z)
     r1 = float(np.mean(np.abs(vals)))
-    scaled = np.ldexp(vals, -_power_of_two_exponent(vals))
     scaled_r1 = float(np.mean(np.abs(scaled)))
     scores = np.empty(grid_h.size)
     objectives = np.empty(grid_h.size)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .correlation import check_hurst
 from .errors import ConfigurationError, DegenerateSeriesError, _choice, _real
-from .gaussianize import _checked_values, _power_of_two_exponent
+from .gaussianize import _at_verdict_scale
 
 __all__ = ["HypothesisStats", "Classification", "test_hypothesis", "classify"]
 
@@ -191,52 +191,40 @@ def test_hypothesis(
 ) -> HypothesisStats:
     """Run the full fBm-increment hypothesis test at the estimated exponent.
 
-    Computes c, the partial sums, the branch statistics and thresholds, and
-    the verdict.  The verdict is homogeneous in the scale of z, so it is
-    decided on z times the power of two that brings max|z| into [0.5, 1),
-    as in `estimate_hurst`: there no statistic leaves the float range, and
-    the rescale is exact.  The statistics and thresholds are reported at the
-    input's scale, scaled back by the same power of two; one that underflows
-    there reads 0.  Raises ConfigurationError for an h_hat or alpha that is
-    not a real number in (0, 1), a beta0 that is not a finite positive real
-    number, a flag that is not a bool, or `paper_constants` with an alpha
-    other than 0.1, and the input errors of the checked series (non-finite,
-    too short, zero or infinite mean square).  A DegenerateSeriesError marks
+    Computes c, stat_A and the statistic and threshold of the branch that
+    h_hat picks, and decides the verdict at the scale `_at_verdict_scale`
+    gives.  The statistics are reported at the input's scale; one that
+    underflows there reads 0.  Raises ConfigurationError for an h_hat or
+    alpha that is not a real number in (0, 1), a beta0 that is not a finite
+    positive real number, a flag that is not a bool, or `paper_constants`
+    with an alpha other than 0.1, and the input errors of the checked series
+    (non-finite, too short, zero or infinite mean square).  A DegenerateSeriesError marks
     a series whose reported statistics or thresholds overflow.
     """
     h_hat = check_hurst(h_hat)
     alpha, beta0 = _check_settings(alpha, beta0, paper_constants, require_delta_on_persistent)
-    vals = _checked_values(z)
+    vals, scaled, exponent = _at_verdict_scale(z)
     c = float(np.mean(vals * vals))
-    exponent = _power_of_two_exponent(vals)
-    scaled = np.ldexp(vals, -exponent)
     c_scaled = float(np.mean(scaled * scaled))
     v = _partial_sums(scaled)
-    beta1, beta2 = _thresholds(c_scaled, h_hat, alpha, paper_constants)
     a_n = _stat_A(scaled, v)
     a_limit = -1.5 * c_scaled * c_scaled
     delta = abs(a_n - a_limit) / abs(a_limit)
     sigma = (2.0 * h_hat + 2.0) ** -0.5
-    if h_hat <= 0.5:
-        branch, b_n, d_n, beta2 = ANTIPERSISTENT_BRANCH, _stat_B(scaled, v, h_hat), None, None
-        verdict = _verdict(h_hat, delta, beta0, b_n, beta1)
-    else:
-        branch, b_n, d_n, beta1 = PERSISTENT_BRANCH, None, _stat_D(scaled, v, h_hat), None
-        verdict = _verdict(h_hat, delta, beta0, d_n, beta2, require_delta_on_persistent)
-
-    def rescaled(x: float | None, degree: int) -> float | None:
-        """A statistic homogeneous of this degree in z, at the input's scale."""
-        if x is None:
-            return None
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(x, degree * exponent))
-
-    a_n, a_limit, d_n, beta2 = (rescaled(x, 4) for x in (a_n, a_limit, d_n, beta2))
-    b_n, beta1 = rescaled(b_n, 5), rescaled(beta1, 5)
-    if not all(math.isfinite(x) for x in (a_n, a_limit, b_n, d_n, beta1, beta2) if x is not None):
+    persistent = h_hat > 0.5
+    # stat_D and beta2 have degree 4 in z, stat_B and beta1 degree 5.
+    degree, stat = (4, _stat_D(scaled, v, h_hat)) if persistent else (5, _stat_B(scaled, v, h_hat))
+    bound = _thresholds(c_scaled, h_hat, alpha, paper_constants)[persistent]
+    verdict = _verdict(h_hat, delta, beta0, stat, bound, require_delta_on_persistent)
+    with np.errstate(over="ignore"):
+        reported = np.ldexp([a_n, a_limit, stat, bound],
+                            np.multiply([4, 4, degree, degree], exponent))
+    if not np.isfinite(reported).all():
         raise DegenerateSeriesError(
             f"mean square {c:.3g}: the statistics overflow the float range"
         )
+    a_n, a_limit, stat, bound = reported.tolist()
+    b_n, beta1, d_n, beta2 = (None, None, stat, bound) if persistent else (stat, bound, None, None)
     return HypothesisStats(
         c=c,
         a_n=a_n,
@@ -244,7 +232,7 @@ def test_hypothesis(
         delta=delta,
         sigma=sigma,
         h_used=h_hat,
-        branch=branch,
+        branch=PERSISTENT_BRANCH if persistent else ANTIPERSISTENT_BRANCH,
         b_n=b_n,
         d_n_stat=d_n,
         beta0=beta0,

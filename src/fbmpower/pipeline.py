@@ -26,6 +26,7 @@ from . import hurst as hu
 from . import hypothesis as hyp
 from .errors import (
     AnalysisError,
+    ConfigurationError,
     DegenerateSeriesError,
     InputFormatError,
     InvalidSizeError,
@@ -373,8 +374,14 @@ def analyze(series: RawSeries, config: AnalysisConfig = AnalysisConfig()) -> Bui
     Degenerate preprocessing and an unfittable Gaussianization degrade to
     warnings on the report rather than raising, and so does any
     AnalysisError after the fit, which leaves the verdict None; one bad
-    series cannot take down a batch run.
+    series cannot take down a batch run.  A `series` that is not a RawSeries
+    is an InputFormatError, and a `config` that is not an AnalysisConfig a
+    ConfigurationError, each naming the type.
     """
+    if not isinstance(series, RawSeries):
+        raise InputFormatError(f"expected a RawSeries, got {type(series).__name__}")
+    if not isinstance(config, AnalysisConfig):
+        raise ConfigurationError(f"expected an AnalysisConfig, got {type(config).__name__}")
     warnings: list[str] = []
 
     def report(**found) -> BuildingReport:
@@ -460,10 +467,17 @@ def render_report(reports, fmt: str = "json") -> str:
 
     "json" nests every report field under a schema-versioned document;
     "csv" flattens the same fields; "md" is a table of the headline
-    statistics plus the verdict.  Any other item is an InputFormatError.
+    statistics plus the verdict.  Anything but an iterable of
+    BuildingReports is an InputFormatError.
     """
     _choice("format", fmt, REPORT_FORMATS)
-    reports = list(reports)
+    try:
+        items = iter(reports)
+    except TypeError:
+        raise InputFormatError(
+            f"expected an iterable of BuildingReports, got {type(reports).__name__}"
+        ) from None
+    reports = list(items)
     for i, item in enumerate(reports):
         if not isinstance(item, BuildingReport):
             raise InputFormatError(f"item {i}: expected a BuildingReport, got {type(item).__name__}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _correlation_row, _dense_toeplitz, check_hurst, increment_correlation
+from .correlation import _dense_toeplitz, build_correlation, check_hurst, increment_correlation
 from .errors import CirculantEmbeddingError, IllConditionedError, _choice, _integer
 
 __all__ = ["FbmPath", "simulate_fbm"]
@@ -31,7 +31,8 @@ EIGENVALUE_TOLERANCE = -1e-9
 class FbmPath:
     """A simulated path B_H(k/n) for k = 0..n, with its generation record.
 
-    Built only by `simulate_fbm`, whose values have n + 1 points from 0.
+    Built only by `simulate_fbm`, whose values have n + 1 points from 0;
+    `increments(values)` gives its n increments.
     """
 
     hurst: float
@@ -41,11 +42,6 @@ class FbmPath:
     values: np.ndarray
 
     @property
-    def increments(self) -> np.ndarray:
-        """The n grid increments B_H(k/n) - B_H((k-1)/n)."""
-        return np.diff(self.values)
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
 
@@ -53,7 +49,7 @@ class FbmPath:
 def _fgn_cholesky(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance correlated Gaussian increments via dense Cholesky."""
     try:
-        chol = np.linalg.cholesky(_dense_toeplitz(_correlation_row(h, n)))
+        chol = np.linalg.cholesky(_dense_toeplitz(build_correlation(h, n)))
     except np.linalg.LinAlgError as exc:  # rounding, as H nears 1
         raise IllConditionedError(f"correlation matrix factorization failed: {exc}") from exc
     return chol @ rng.standard_normal(n)
@@ -68,7 +64,7 @@ def _fgn_circulant(h: float, n: int, rng: np.random.Generator) -> np.ndarray:
     example H = 0.99 at n = 524288, H = 0.999999 at n = 16384).  Synthesis
     draws one Hermitian-symmetric complex spectrum and inverse-transforms.
     """
-    row = _correlation_row(h, n)
+    row = build_correlation(h, n)
     circ = np.concatenate([row, [increment_correlation(h, n)], row[:0:-1]])
     eig = np.fft.fft(circ).real
     worst = float(eig.min())
@@ -111,6 +107,8 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     ------
     ConfigurationError
         If h, n, seed or method is outside the ranges above, or n or seed is a float.
+    InvalidSizeError
+        If n is more steps than an array can hold.
     CirculantEmbeddingError
         If the embedding has a materially negative eigenvalue, which
         rounding in the correlation row causes as H nears 1 and n grows.

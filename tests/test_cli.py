@@ -38,6 +38,11 @@ def analysis_csv(tmp_path, n=256):
 
 
 class TestSimulateCommand:
+    def test_too_many_steps_exit_2(self, runner):
+        result = invoke(runner, "simulate", "--hurst", 0.3, "--n", 10**30)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: need an integer m >= 2 that fits in an array")
+
     def test_writes_path_csv(self, runner, tmp_path):
         out = tmp_path / "path.csv"
         result = invoke(runner, "simulate", "--hurst", 0.7, "--n", 64, "--seed", 3, "--out", out)
@@ -151,7 +156,7 @@ class TestEstimateCommand:
 
 class TestHypothesisCommand:
     def test_reports_stats(self, runner, tmp_path):
-        z = simulate_fbm(0.3, 1024, 7, "circulant").increments
+        z = np.diff(simulate_fbm(0.3, 1024, 7, "circulant").values)
         src = write_increments(tmp_path / "incs.csv", z)
         result = invoke(runner, "test", "--input", src, "--hurst", 0.3)
         doc = json.loads(result.output)
@@ -163,7 +168,7 @@ class TestHypothesisCommand:
         assert doc["a_limit"] == pytest.approx(-1.5 * doc["c"] ** 2, rel=1e-9)
 
     def test_persistent_branch(self, runner, tmp_path):
-        z = simulate_fbm(0.7, 1024, 8, "circulant").increments
+        z = np.diff(simulate_fbm(0.7, 1024, 8, "circulant").values)
         src = write_increments(tmp_path / "incs.csv", z)
         result = invoke(runner, "test", "--input", src, "--hurst", 0.7)
         doc = json.loads(result.output)

@@ -10,6 +10,7 @@ import fbmpower.hypothesis as hyp
 from fbmpower.errors import (
     ConfigurationError,
     DegenerateSeriesError,
+    IllConditionedError,
     InputFormatError,
     InvalidSizeError,
     UnfittableSeriesError,
@@ -23,7 +24,7 @@ from fbmpower.gaussianize import (
     transform,
 )
 from fbmpower.hurst import build_correlation, quadratic_form_logdet
-from fbmpower.pipeline import RawSeries, detrend, load_csv, normalize, render_report
+from fbmpower.pipeline import RawSeries, analyze, detrend, load_csv, normalize, render_report
 from fbmpower.simulate import simulate_fbm
 
 
@@ -39,7 +40,7 @@ class TestIncrements:
     def test_matches_path_increments(self):
         path = simulate_fbm(0.6, 64, 3, "cholesky")
         series = increments(path.values)
-        assert np.array_equal(series.values, path.increments)
+        assert np.array_equal(series.values, np.diff(path.values))
 
     def test_too_short_rejected(self):
         with pytest.raises(InvalidSizeError):
@@ -325,13 +326,24 @@ ARRAY_ENTRY_POINTS = {
     "quadratic_form_logdet-z": lambda v: quadratic_form_logdet(build_correlation(0.3, 64), v),
 }
 
+_RAW = RawSeries("b", "P", _STAMPS, np.arange(64.0))
+
 # Calls that take something other than an array, each with its error.
 BAD_CALLS = {
     "build_correlation-64.7": (lambda: build_correlation(0.3, 64.7), InvalidSizeError, "m=64.7"),
     "build_correlation-str": (lambda: build_correlation(0.3, "a"), InvalidSizeError, "m='a'"),
     "build_correlation-True": (lambda: build_correlation(0.3, True), InvalidSizeError, "m=True"),
-    "build_correlation-10**30": (lambda: build_correlation(0.3, 10**30), InvalidSizeError,
-                                 "fits in an array"),
+    # Sizes numpy refuses without allocating; 2**63 - 1 gave an empty row.
+    **{f"{entry}-{label}": (call, InvalidSizeError, "fits in an array")
+       for label, m in (("10**30", 10**30), ("2**62+1", 2**62 + 1), ("2**63-1", 2**63 - 1))
+       for entry, call in (("build_correlation", lambda m=m: build_correlation(0.3, m)),
+                           ("simulate_fbm", lambda m=m: simulate_fbm(0.3, m, 0)),
+                           ("simulate_fbm-cholesky",
+                            lambda m=m: simulate_fbm(0.3, m, 0, "cholesky")))},
+    # Checked before the division by the diagonal, which overflowed with a warning.
+    "quadratic_form_logdet-past_diagonal": (
+        lambda: quadratic_form_logdet([5e-324, 1.0, 0.5], [1.0, 1.0, 1.0]),
+        IllConditionedError, r"^lag 1: \|1\.0\| exceeds the diagonal 5e-324"),
     # A line or a form past the float range, from finite values.
     "detrend-overflow": (lambda: detrend([1.7e308] * 9), DegenerateSeriesError, "overflows"),
     "quadratic_form_logdet-overflow": (
@@ -341,6 +353,13 @@ BAD_CALLS = {
                           "item 0: expected a BuildingReport, got int"),
     "render_report-None": (lambda: render_report([None]), InputFormatError, "got NoneType"),
     "render_report-str": (lambda: render_report("json"), InputFormatError, "got str"),
+    "render_report-bare_None": (lambda: render_report(None), InputFormatError,
+                                "expected an iterable of BuildingReports, got NoneType"),
+    "render_report-bare_int": (lambda: render_report(5), InputFormatError, "got int"),
+    "analyze-int": (lambda: analyze(5), InputFormatError, "expected a RawSeries, got int"),
+    "analyze-config_int": (lambda: analyze(_RAW, 5), ConfigurationError,
+                           "expected an AnalysisConfig, got int"),
+    "analyze-config_None": (lambda: analyze(_RAW, None), ConfigurationError, "got NoneType"),
     "load_csv-None": (lambda: load_csv(None), InputFormatError, "cannot read None"),
     "load_csv-True": (lambda: load_csv(True), InputFormatError, "cannot read True"),
     "load_csv-missing": (lambda: load_csv(Path("absent", "x.csv")), InputFormatError,

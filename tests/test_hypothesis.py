@@ -15,7 +15,7 @@ BETA2_DERIVED_C1 = 4.058315181143116  # 1.5 z^2
 
 
 def standardized_increments(h, m, seed):
-    z = simulate_fbm(h, m, seed, "circulant").increments
+    z = np.diff(simulate_fbm(h, m, seed, "circulant").values)
     return z / np.sqrt(np.mean(z * z))
 
 
@@ -192,11 +192,14 @@ class TestTestHypothesis:
         assert stats.beta1 == pytest.approx(1e61**5 * base.beta1, rel=1e-10)
         assert stats.verdict == base.verdict == "rejected"
 
-    def test_overflowing_statistics_rejected(self):
-        # At x 1e62, stat_B and beta1 leave the float range at the input's scale.
-        z = _fgn_circulant(0.3, 512, np.random.default_rng(3))
+    @pytest.mark.parametrize("h, scale", [(0.3, 1e62), (0.7, 1e78)],
+                             ids=["antipersistent", "persistent"])
+    def test_overflowing_statistics_rejected(self, h, scale):
+        # At x 1e62, stat_B and beta1 (degree 5) leave the float range at the
+        # input's scale; at x 1e78, stat_D and beta2 (degree 4) do.
+        z = _fgn_circulant(h, 512, np.random.default_rng(3))
         with pytest.raises(DegenerateSeriesError, match="overflow the float range"):
-            hyp.test_hypothesis(z * 1e62, 0.3)
+            hyp.test_hypothesis(z * scale, h)
 
     def test_scale_equivariance(self):
         z = standardized_increments(0.3, 512, 81)

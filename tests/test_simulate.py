@@ -60,8 +60,9 @@ class TestSimulateFbm:
         path = simulate_fbm(0.3, 100, 0, "cholesky")
         assert path.values.shape == (101,)
         assert path.values[0] == 0.0
-        assert path.increments.shape == (100,)
-        assert np.allclose(np.cumsum(path.increments), path.values[1:])
+        assert np.diff(path.values).shape == (100,)
+        assert np.allclose(np.cumsum(np.diff(path.values)), path.values[1:])
+        assert not hasattr(path, "increments")  # increments(path.values) is the one way
 
     def test_times_grid(self):
         path = simulate_fbm(0.5, 4, 0, "cholesky")
@@ -82,7 +83,7 @@ class TestSimulateFbm:
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_wiener_increments_uncorrelated(self, method):
-        incs = simulate_fbm(0.5, 1024, 42, method).increments
+        incs = np.diff(simulate_fbm(0.5, 1024, 42, method).values)
         r = np.corrcoef(incs[:-1], incs[1:])[0, 1]
         assert abs(r) < 0.1
 
@@ -92,7 +93,7 @@ class TestSimulateFbm:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_pooled_lag_one_correlation(self, h, target, method):
         incs = np.array(
-            [simulate_fbm(h, 1024, s, method).increments for s in range(100)]
+            [np.diff(simulate_fbm(h, 1024, s, method).values) for s in range(100)]
         )
         r = np.corrcoef(incs[:, :-1].ravel(), incs[:, 1:].ravel())[0, 1]
         assert r == pytest.approx(target, abs=0.04)
@@ -118,7 +119,7 @@ class TestSimulateFbm:
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
     def test_increments_pass_gaussian_ratio_check(self, method, h):
-        incs = simulate_fbm(h, 2048, 9, method).increments
+        incs = np.diff(simulate_fbm(h, 2048, 9, method).values)
         assert abs(kurtosis_ratio(incs) - GAUSSIAN_RATIO) < 0.05
 
     def test_methods_agree_in_distribution(self):

@@ -21,7 +21,7 @@ import numpy as np
 from . import gaussianize as gz
 from . import hurst as hu
 from . import hypothesis as hyp
-from . import pipeline
+from . import __version__, pipeline
 from .errors import (
     AnalysisError,
     ConfigurationError,
@@ -127,7 +127,7 @@ class _ErrorExitGroup(click.Group):
 
 
 @click.group(cls=_ErrorExitGroup)
-@click.version_option(package_name="fbmpower")
+@click.version_option(__version__)
 def main() -> None:
     """Model time series as transformed fBm increments and report their
     persistence and forecastability."""
@@ -145,10 +145,10 @@ def main() -> None:
 @_ratio_tol
 @click.option("--gap-policy", type=click.Choice(list(pipeline.GAP_POLICIES)),
               default=pipeline.DEFAULT_GAP_POLICY, show_default=True)
-def analyze(input_path, quantity, fmt, out, **settings) -> None:
+def analyze(input_path, quantity, fmt, out, gap_policy, **settings) -> None:
     """Run the full persistence analysis on every series in a CSV."""
     config = pipeline.AnalysisConfig(**settings)
-    series, warnings = pipeline.load_csv(input_path, gap_policy=config.gap_policy)
+    series, warnings = pipeline.load_csv(input_path, gap_policy=gap_policy)
     for warning in warnings:
         click.echo(f"warning: {warning}", err=True)
     if quantity != "both":

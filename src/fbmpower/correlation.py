@@ -22,7 +22,14 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, IllConditionedError, InvalidSizeError, _integer, _real
+from .errors import (
+    ConfigurationError,
+    DegenerateSeriesError,
+    IllConditionedError,
+    InvalidSizeError,
+    _integer,
+    _real,
+)
 from .gaussianize import _array
 
 __all__ = [
@@ -50,14 +57,20 @@ def increment_correlation(h: float, lag: int) -> float:
     """Correlation between unit-grid fBm increments at the given lag.
 
     Equals 1 at lag 0 and 0 at every positive lag when H = 0.5 (independent
-    Wiener increments); positive for H > 0.5, negative for H < 0.5.
+    Wiener increments); positive for H > 0.5, negative for H < 0.5.  A lag
+    whose powers leave the float range is a ConfigurationError.
     """
     h = check_hurst(h)
     lag = _integer("lag", lag, 0)
     two_h = 2.0 * h
-    return float(
-        0.5 * ((lag + 1.0) ** two_h + abs(lag - 1.0) ** two_h - 2.0 * float(lag) ** two_h)
-    )
+    try:
+        return float(
+            0.5 * ((lag + 1.0) ** two_h + abs(lag - 1.0) ** two_h - 2.0 * float(lag) ** two_h)
+        )
+    except OverflowError:  # an int past the float range, or a power of one near its top
+        raise ConfigurationError(
+            f"lag must be an integer >= 0 whose powers fit in a float, got {lag!r}"
+        ) from None
 
 
 def build_correlation(h: float, m: int) -> np.ndarray:

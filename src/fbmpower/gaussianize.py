@@ -172,19 +172,13 @@ def _power_signed(values: np.ndarray, lam: float) -> np.ndarray:
 def _initial_guess(raw_ratio: float) -> float:
     """Invert the theoretical ratio curve; 1/root is the exponent guess."""
     lo, hi = 1e-6, THEORETICAL_LAMBDA_CAP - 1e-9
-    if raw_ratio >= gaussian_ratio_theoretical(lo):
-        root = lo
-    elif raw_ratio <= gaussian_ratio_theoretical(hi):
-        root = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if gaussian_ratio_theoretical(mid) > raw_ratio:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-    return float(np.clip(1.0 / root, LAMBDA_MIN, LAMBDA_MAX))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if gaussian_ratio_theoretical(mid) > raw_ratio:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.clip(1.0 / (0.5 * (lo + hi)), LAMBDA_MIN, LAMBDA_MAX))
 
 
 def _check_ratio_tol(tol: float) -> float:

@@ -102,7 +102,6 @@ class AnalysisConfig:
     q_constant: float = hu.DEFAULT_Q_CONSTANT
     paper_constants: bool = False
     ratio_tol: float = gz.DEFAULT_RATIO_TOL
-    gap_policy: str = DEFAULT_GAP_POLICY
     require_delta_on_persistent: bool = False
 
     def __post_init__(self) -> None:
@@ -111,7 +110,6 @@ class AnalysisConfig:
         gz._check_ratio_tol(self.ratio_tol)
         hyp._check_settings(self.alpha, self.beta0, self.paper_constants,
                             self.require_delta_on_persistent)
-        _choice("gap policy", self.gap_policy, GAP_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,11 @@ def load_csv(path, gap_policy: str = DEFAULT_GAP_POLICY) -> tuple[list[RawSeries
 
     Raises InputFormatError, with the offending line number, on a missing
     or wrong header, an unparsable row (a field over the csv module's size
-    limit among them), or a duplicate timestamp.  A UTF-8 byte-order mark is
-    skipped.  A path that is not a str, bytes or os.PathLike (never a file
-    descriptor), or cannot be opened, is an InputFormatError naming it.
+    limit among them), or a duplicate timestamp; a row's line is the line
+    it ends on, which a quoted field spanning lines moves on.  A UTF-8
+    byte-order mark is skipped.  A path that is not a str, bytes or
+    os.PathLike (never a file descriptor), or cannot be opened, is an
+    InputFormatError naming it.
     """
     _choice("gap policy", gap_policy, GAP_POLICIES)
     with _open_utf8(path, newline="") as handle:
@@ -227,7 +227,8 @@ def _parse_long_csv(reader, gap_policy: str) -> tuple[list[RawSeries], list[str]
 
     rows: dict[tuple[str, str], dict[datetime, float]] = {}
     offsets: dict[tuple[str, str], bool] = {}
-    for lineno, cells in enumerate(reader, start=2):
+    for cells in reader:
+        lineno = reader.line_num  # the line the row ends on
         if not cells or all(not cell.strip() for cell in cells):
             continue
         if len(cells) != len(names):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _dense_toeplitz, build_correlation, check_hurst, increment_correlation
-from .errors import CirculantEmbeddingError, IllConditionedError, _choice, _integer
+from .errors import CirculantEmbeddingError, IllConditionedError, InvalidSizeError, _choice, _integer
 
 __all__ = ["FbmPath", "simulate_fbm"]
 
@@ -120,7 +120,10 @@ def simulate_fbm(h: float, n: int, seed: int, method: str = "circulant") -> FbmP
     seed = _integer("seed", seed, 0)
     _choice("method", method, ("circulant", "cholesky"))
     rng = np.random.default_rng(seed)
-    fgn = _fgn_cholesky(h, n, rng) if method == "cholesky" else _fgn_circulant(h, n, rng)
+    try:
+        fgn = _fgn_cholesky(h, n, rng) if method == "cholesky" else _fgn_circulant(h, n, rng)
+    except InvalidSizeError:  # build_correlation's message names its own m
+        raise InvalidSizeError(f"need an integer n >= 2 that fits in an array, got n={n!r}") from None
     values = np.empty(n + 1)
     values[0] = 0.0
     # Grid spacing 1/n scales each unit-variance increment by n^-H.

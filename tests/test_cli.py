@@ -1,11 +1,13 @@
 import json
 import os
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fbmpower import __version__
 from fbmpower.cli import main
 from fbmpower.simulate import _fgn_circulant, simulate_fbm
 
@@ -37,11 +39,21 @@ def analysis_csv(tmp_path, n=256):
     return str(path)
 
 
+def test_version_needs_no_installed_metadata(runner):
+    result = invoke(runner, "--version")
+    assert result.exit_code == 0
+    assert result.output.endswith(f" version {__version__}\n")
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == __version__
+
+
 class TestSimulateCommand:
     def test_too_many_steps_exit_2(self, runner):
         result = invoke(runner, "simulate", "--hurst", 0.3, "--n", 10**30)
         assert result.exit_code == 2
-        assert result.stderr.startswith("error: need an integer m >= 2 that fits in an array")
+        assert result.stderr == ("error: need an integer n >= 2 that fits in an array, "
+                                 f"got n={10**30}\n")
 
     def test_writes_path_csv(self, runner, tmp_path):
         out = tmp_path / "path.csv"

@@ -17,6 +17,7 @@ from fbmpower.errors import (
 )
 from fbmpower.gaussianize import (
     GAUSSIAN_RATIO,
+    _initial_guess,
     fit_lambda,
     gaussian_ratio_theoretical,
     increments,
@@ -164,6 +165,12 @@ class TestFitLambda:
         y = np.sign(xi) * np.abs(xi) ** power
         lam = fit_lambda(y, tol=1e-3)
         assert abs(kurtosis_ratio(transform(y, lam)) - GAUSSIAN_RATIO) <= 1e-3
+
+    def test_initial_guess_at_both_ends_of_the_window(self):
+        # Ratios past either end of the theoretical curve clip to [0.05, 20].
+        assert _initial_guess(1.0) == 20.0
+        assert _initial_guess(gaussian_ratio_theoretical(1e-6)) == 20.0
+        assert _initial_guess(1e-13) == 0.05
 
     def test_equal_magnitudes_unfittable(self):
         with pytest.raises(UnfittableSeriesError):
@@ -340,6 +347,9 @@ BAD_CALLS = {
                            ("simulate_fbm", lambda m=m: simulate_fbm(0.3, m, 0)),
                            ("simulate_fbm-cholesky",
                             lambda m=m: simulate_fbm(0.3, m, 0, "cholesky")))},
+    # The dense oracle is no way out of a failing embedding as H nears 1.
+    "simulate_fbm-cholesky_near_one": (lambda: simulate_fbm(1 - 1e-9, 1024, 0, "cholesky"),
+                                       IllConditionedError, "factorization failed"),
     # Checked before the division by the diagonal, which overflowed with a warning.
     "quadratic_form_logdet-past_diagonal": (
         lambda: quadratic_form_logdet([5e-324, 1.0, 0.5], [1.0, 1.0, 1.0]),

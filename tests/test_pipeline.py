@@ -221,6 +221,22 @@ class TestLoadCsv:
         with pytest.raises(InputFormatError, match="line 5"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # The quoted building id spans lines 2-3.
+            pytest.param(['2024-01-01T00:00:00,"two\nlines",P,1.0',
+                          "2024-01-01T01:00:00,b,P,2.0", "not-a-time,b,P,3.0"],
+                         "line 5: unparsable timestamp 'not-a-time'", id="multi_line_row"),
+            pytest.param(["2024-01-01T00:00:00,b,P,1.0", "2024-01-01T01:00:00, ,P,2.0"],
+                         "line 3: empty building id", id="empty_building_id"),
+        ],
+    )
+    def test_row_message_names_the_line_the_row_ends_on(self, tmp_path, rows, message):
+        path = write_csv(tmp_path / "data.csv", rows)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            load_csv(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         rows = hourly_rows("b", "P", range(10))
         rows.insert(3, "")
@@ -334,7 +350,6 @@ class TestAnalysisConfig:
             dict(alpha=0.0),
             dict(beta0=-1.0),
             dict(ratio_tol=0.0),
-            dict(gap_policy="ffill"),
             dict(q_constant=0.0),
             dict(q_constant=float("inf")),
             dict(beta0=float("inf")),

@@ -18,10 +18,15 @@ from fbmpower.simulate import simulate_fbm
 
 Z = np.random.default_rng(0).standard_normal(64)
 
-# Values of the wrong kind for each kind of setting.
+# An integer past the float range; test ids spell it 10**400.
+HUGE = 10**400
+
+# Values of the wrong kind for each kind of setting.  A lag enters float
+# arithmetic, so unlike a count or a seed it must fit in a float.
 BAD = {
-    "real": (None, "abc", True, math.nan),
+    "real": (None, "abc", True, math.nan, HUGE),
     "integer": (None, "abc", True, 64.7),
+    "lag": (None, "abc", True, 64.7, HUGE),
     "flag": (None, "abc", "no"),
     "choice": (None, "abc", True),
 }
@@ -47,12 +52,12 @@ SETTINGS = [
     ("simulate_fbm-n", "integer", lambda v: simulate_fbm(0.3, v, 0)),
     ("simulate_fbm-seed", "integer", lambda v: simulate_fbm(0.3, 64, v)),
     ("simulate_fbm-method", "choice", lambda v: simulate_fbm(0.3, 64, 0, v)),
-    ("increment_correlation-lag", "integer", lambda v: increment_correlation(0.3, v)),
+    ("increment_correlation-lag", "lag", lambda v: increment_correlation(0.3, v)),
     # The rule runs before the file is opened.
     ("load_csv-gap_policy", "choice", lambda v: load_csv("absent.csv", gap_policy=v)),
     ("render_report-fmt", "choice", lambda v: render_report([], v)),
 ] + [
-    (f"AnalysisConfig-{f.name}", {"float": "real", "bool": "flag", "str": "choice"}[f.type],
+    (f"AnalysisConfig-{f.name}", {"float": "real", "bool": "flag"}[f.type],
      lambda v, name=f.name: AnalysisConfig(**{name: v}))
     for f in fields(AnalysisConfig)
 ]
@@ -60,7 +65,7 @@ SETTINGS = [
 
 @pytest.mark.parametrize(
     "call, value",
-    [pytest.param(call, value, id=f"{name}-{value!r}")
+    [pytest.param(call, value, id=f"{name}-{'10**400' if value is HUGE else repr(value)}")
      for name, kind, call in SETTINGS for value in BAD[kind]],
 )
 def test_a_setting_of_the_wrong_kind_is_a_configuration_error(call, value):
